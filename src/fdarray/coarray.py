@@ -5,13 +5,12 @@ run of consecutive integer sums acts like a contiguous virtual array for
 active sensing, so its length tracks how many targets remain identifiable.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import FullDuplexLayout, generate_nested, solve_nested_params
+from .geometry import FullDuplexLayout, generate_nested, position_ticks, solve_nested_params
 
 
 @dataclass(frozen=True)
@@ -19,11 +18,13 @@ class SumCoarray:
     """Distinct pairwise Tx+Rx sums with per-sum pair counts.
 
     ``contiguous_len`` is the length of the longest run of consecutive
-    integers among the sums; it is None for layouts that leave the
-    integer grid (no grid semantics are invented for those).
+    integers among the sums; it is None when any sum leaves the integer
+    grid (no grid semantics are invented for those). When every sum is an
+    integer, ``sums`` holds ``int`` values, which compare and hash equal
+    to the matching ``Fraction``; otherwise it holds ``Fraction`` values.
     """
 
-    sums: tuple[Fraction, ...]
+    sums: tuple[int | Fraction, ...]
     multiplicities: tuple[int, ...]
     contiguous_len: int | None
 
@@ -53,28 +54,24 @@ class CoarrayScalingTable:
     slope: float
 
 
-def _longest_integer_run(sums: tuple[Fraction, ...]) -> int:
-    best = cur = 1
-    for a, b in zip(sums, sums[1:]):
-        cur = cur + 1 if b - a == 1 else 1
-        best = max(best, cur)
-    return best
-
-
 def sum_coarray(layout: FullDuplexLayout) -> SumCoarray:
     """Exact sum co-array of a layout.
 
-    Enumerates all n_tx * n_rx position pairs exactly; contiguity
-    statistics are computed only when every sum is an integer.
+    Counts all n_tx * n_rx pairwise sums on int64 ticks (ValueError when
+    the positions do not fit, see `position_ticks`); contiguity statistics
+    are computed only when every sum is an integer.
     """
-    counts = Counter(t + r for t in layout.tx.positions for r in layout.rx.positions)
-    sums = tuple(sorted(counts))
-    multiplicities = tuple(counts[s] for s in sums)
-    if all(s.denominator == 1 for s in sums):
-        contiguous = _longest_integer_run(sums)
+    (tx, rx), denom = position_ticks(layout.tx, layout.rx)
+    ticks, counts = np.unique(tx[:, None] + rx[None, :], return_counts=True)
+    whole, rest = np.divmod(ticks, denom)
+    if rest.any():
+        sums, contiguous = tuple(Fraction(t, denom) for t in ticks.tolist()), None
     else:
-        contiguous = None
-    return SumCoarray(sums=sums, multiplicities=multiplicities, contiguous_len=contiguous)
+        # runs of consecutive integers end where the step is not 1
+        ends = np.flatnonzero(np.diff(whole) != 1)
+        sums = tuple(whole.tolist())
+        contiguous = int(np.diff(ends, prepend=-1, append=whole.size - 1).max())
+    return SumCoarray(sums=sums, multiplicities=tuple(counts.tolist()), contiguous_len=contiguous)
 
 
 def loglog_slope(xs, ys) -> float:
@@ -130,7 +127,7 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
     return CoarrayScalingTable(rows=tuple(rows), slope=slope)
 
 
-def _fmt_sum(value: Fraction) -> str:
+def _fmt_sum(value: int | Fraction) -> str:
     return str(int(value)) if value.denominator == 1 else repr(float(value))
 
 

@@ -137,6 +137,22 @@ class FullDuplexLayout:
         return self.tx.is_integer and self.rx.is_integer
 
 
+def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
+    """Positions as int64 ticks over their common denominator.
+
+    Returns ``(ticks, denom)``: one int64 array per geometry, with
+    ``position == tick / denom`` exactly. Raises ValueError, naming the
+    denominator, when it or any tick reaches 2**62 (so tick sums and
+    differences fit int64); ticks never wrap.
+    """
+    denom = math.lcm(*(p.denominator for g in geometries for p in g.positions))
+    ticks = [[p.numerator * (denom // p.denominator) for p in g.positions] for g in geometries]
+    biggest = max(abs(t) for side in ticks for t in side)
+    if max(denom, biggest) >= 2**62:
+        raise ValueError(f"positions do not fit int64 ticks: common denominator {denom}, limit 2**62")
+    return [np.array(side, dtype=np.int64) for side in ticks], denom
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of layout validation: hard errors plus informational notes."""
@@ -280,8 +296,6 @@ def validate(tx, rx=None) -> ValidationReport:
             errors.append(
                 f"duplicate {name} position(s): {', '.join(map(str, sorted(dups)))}"
             )
-        if max(pos) - min(pos) < 0:
-            notes.append(f"{name} aperture is negative")
 
     shared = sorted(set(tx_pos) & set(rx_pos))
     if shared:

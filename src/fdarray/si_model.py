@@ -1,9 +1,10 @@
 """Spherical-wave self-interference channel synthesis and structure checks.
 
 The channel entry for Rx antenna n and Tx antenna m at distance d (in
-half-wavelength units) is ``rho * exp(j*pi*d) / d``. On the integer grid the
-phase factor collapses to an exact sign (-1)**d, which is computed
-symbolically so that integer-grid channels are exactly real with exact signs.
+half-wavelength units) is ``rho * exp(j*pi*d) / d``, with d held exactly as
+int64 ticks over the layout's common denominator. On the integer grid the
+phase factor collapses to an exact sign (-1)**d, read from the tick parity,
+so integer-grid channels are exactly real with exact signs.
 """
 
 import json
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import ColocatedAntennaError, FullDuplexLayout
+from .geometry import ColocatedAntennaError, FullDuplexLayout, position_ticks
 
 SIGN_ALTERNATING = "alternating"
 SIGN_UNIFORM = "uniform"
@@ -23,21 +24,30 @@ SIGN_COMPLEX = "complex"
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Exact pairwise Tx-Rx distances; rows index Rx, columns index Tx."""
+    """Exact Tx-Rx distances as int64 ``ticks`` of 1/``denom``; rows index Rx, columns Tx."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    ticks: np.ndarray
+    denom: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
+        return self.ticks.shape
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Distances as nested tuples of ``Fraction`` (built on each access)."""
+        return tuple(tuple(Fraction(t, self.denom) for t in row) for row in self.ticks.tolist())
 
     @property
     def is_integer(self) -> bool:
-        return all(d.denominator == 1 for row in self.entries for d in row)
+        return not np.any(self.ticks % self.denom)
 
     def to_array(self) -> np.ndarray:
-        """Distances as a float64 matrix."""
-        return np.array([[float(d) for d in row] for row in self.entries])
+        """Distances as a float64 matrix, each rounded like ``float(Fraction)``."""
+        d, q = self.ticks, self.denom
+        if q < 2**53 and d.max() < 2**53:
+            return d / q  # both operands exact in float64: a correctly rounded quotient
+        return np.array([t / q for t in d.ravel().tolist()], dtype=float).reshape(d.shape)
 
 
 @dataclass(frozen=True)
@@ -62,14 +72,16 @@ def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
     ColocatedAntennaError
         If any distance is zero (cannot happen for a constructed layout,
         but guards hand-built inputs).
+    ValueError
+        If the positions do not fit int64 ticks (see `position_ticks`).
     """
-    rows = []
-    for r in layout.rx.positions:
-        row = tuple(abs(r - t) for t in layout.tx.positions)
-        if any(d == 0 for d in row):
-            raise ColocatedAntennaError(f"zero Tx-Rx distance at rx={r}")
-        rows.append(row)
-    return DistanceMatrix(entries=tuple(rows))
+    (tx, rx), denom = position_ticks(layout.tx, layout.rx)
+    ticks = np.abs(rx[:, None] - tx[None, :])
+    if not ticks.all():
+        r = layout.rx.positions[ticks.min(axis=1).argmin()]
+        raise ColocatedAntennaError(f"zero Tx-Rx distance at rx={r}")
+    ticks.setflags(write=False)
+    return DistanceMatrix(ticks=ticks, denom=denom)
 
 
 def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
@@ -93,51 +105,31 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
         raise ValueError(f"rho must be > 0, got {rho}")
     rho = float(rho)
     delta = distance_matrix(layout)
-    n_rx, n_tx = delta.shape
-    h = np.empty((n_rx, n_tx), dtype=complex)
-    for n, row in enumerate(delta.entries):
-        for m, d in enumerate(row):
-            if d.denominator == 1:
-                sign = -1.0 if int(d) % 2 else 1.0
-                h[n, m] = complex(sign * rho / float(d), 0.0)
-            else:
-                df = float(d)
-                h[n, m] = rho * np.exp(1j * np.pi * df) / df
+    df = delta.to_array()
+    whole, rest = np.divmod(delta.ticks, delta.denom)
+    h = (np.where(whole % 2 == 1, -rho, rho) / df).astype(complex)
+    frac = rest != 0
+    if frac.any():
+        h[frac] = rho * np.exp(1j * np.pi * df[frac]) / df[frac]
     h.setflags(write=False)
     return SIChannelMatrix(h=h, rho=rho, layout=layout, delta=delta)
-
-
-def _as_rows(matrix):
-    if isinstance(matrix, DistanceMatrix):
-        return matrix.entries
-    if isinstance(matrix, SIChannelMatrix):
-        matrix = matrix.h
-    arr = np.asarray(matrix)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return arr
 
 
 def is_toeplitz(matrix, tol: float = 0.0) -> bool:
     """True when every diagonal is constant (within tol; tol=0 means exact).
 
-    Accepts a DistanceMatrix (checked on exact rationals), an
+    Accepts a DistanceMatrix (checked on exact ticks), an
     SIChannelMatrix, or any 2-D array-like.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    rows = _as_rows(matrix)
-    n_r = len(rows)
-    n_c = len(rows[0]) if n_r else 0
-    for i in range(1, n_r):
-        for j in range(1, n_c):
-            a, b = rows[i][j], rows[i - 1][j - 1]
-            if tol == 0:
-                if a != b:
-                    return False
-            elif abs(a - b) > tol:
-                return False
-    return True
+    if isinstance(matrix, DistanceMatrix):
+        matrix = matrix.ticks
+    arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    a, b = arr[1:, 1:], arr[:-1, :-1]
+    return not np.any(a != b if tol == 0 else np.abs(a - b) > tol)
 
 
 def sign_pattern(h: SIChannelMatrix) -> str:
@@ -158,13 +150,9 @@ def sign_pattern(h: SIChannelMatrix) -> str:
     re = arr.real
     if np.all(re > 0) or np.all(re < 0):
         return SIGN_UNIFORM
-    if not h.delta.is_integer:
+    whole, rest = np.divmod(h.delta.ticks, h.delta.denom)
+    if rest.any() or np.any(np.sign(re) != 1 - 2 * (whole % 2)):
         return SIGN_MIXED
-    for n, row in enumerate(h.delta.entries):
-        for m, d in enumerate(row):
-            expected = -1.0 if int(d) % 2 else 1.0
-            if np.sign(re[n, m]) != expected:
-                return SIGN_MIXED
     return SIGN_ALTERNATING
 
 
