@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 invalid parameters or unparseable input, 3 singular
 layout (colocated Tx/Rx pair), 4 numerical failure. All outputs are
-deterministic functions of the flags; there is no environment-variable or
-locale dependence.
+deterministic functions of the flags, with no locale dependence. The bytes
+of LAPACK results (the `svd` spectrum, `sweep` and the `fig2` spectra) can
+also depend on the BLAS build and its thread count: they are reproducible
+at a fixed `OPENBLAS_NUM_THREADS`, and the golden-bytes tests use 1.
 """
 
 import argparse

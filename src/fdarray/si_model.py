@@ -246,9 +246,9 @@ def write_matrix_json(matrix, path) -> None:
     arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    data = [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    data = np.stack((arr.real, arr.imag), -1).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh)
+        fh.write(json.dumps(data))
         fh.write("\n")
 
 

@@ -39,12 +39,25 @@ class SingularSpectrum:
         return len(self.sigmas)
 
 
-def _as_complex_matrix(h) -> np.ndarray:
-    if isinstance(h, SIChannelMatrix):
-        return h.h
-    arr = np.asarray(h, dtype=complex)
+def _as_matrix(h) -> np.ndarray:
+    """Validated 2-D float64 or complex128 array of a matrix-like.
+
+    Boolean, integer and float inputs become float64, anything else
+    complex128, so a real input never passes through complex.
+
+    Raises
+    ------
+    ValueError
+        On a non-2-D or empty matrix, or non-finite entries.
+    """
+    arr = h.h if isinstance(h, SIChannelMatrix) else np.asarray(h)
+    arr = np.asarray(arr, dtype=float if arr.dtype.kind in "biuf" else complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError("cannot decompose an empty matrix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     return arr
 
 
@@ -60,11 +73,7 @@ def svd_spectrum(h) -> SingularSpectrum:
     ValueError
         On an empty matrix or non-finite entries.
     """
-    arr = _as_complex_matrix(h)
-    if arr.size == 0:
-        raise ValueError("cannot decompose an empty matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries")
+    arr = _as_matrix(h).astype(complex, copy=False)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     recon_error = float(np.max(np.abs(arr - (u * s) @ vh)))
     sigmas = np.asarray(s, dtype=float)
@@ -77,8 +86,21 @@ def svd_spectrum(h) -> SingularSpectrum:
 
 
 def spectral_norm(h) -> float:
-    """Largest singular value (worst-case SI amplification)."""
-    return float(svd_spectrum(h).sigmas[0])
+    """Largest singular value (worst-case SI amplification).
+
+    Computes singular values only. A matrix whose entries are all exactly
+    real, as on every integer-grid layout, is decomposed in real
+    arithmetic.
+
+    Raises
+    ------
+    ValueError
+        On an empty matrix or non-finite entries.
+    """
+    arr = _as_matrix(h)
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def effective_rank(spec: SingularSpectrum, eps: float) -> int:

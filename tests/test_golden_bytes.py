@@ -6,6 +6,16 @@ distances, channel synthesis and co-arrays, so any later rewrite of those
 layers must reproduce its output bytes exactly. The determinism test in
 ``test_acceptance.py`` (criterion 9) only compares two runs of one version.
 
+The ``GOLDEN`` sweep digests were recorded when `spectral_norm` took σ₁
+from the full U, S, V* factorisation in complex arithmetic. It now computes
+singular values only, in real arithmetic on integer-grid channels, and σ₁
+moves in its last digits (at most 11 ulp over the 120 pinned rows). Those
+digests are therefore checked against a reference rendering: the CLI's
+sweep rows with every σ₁ taken from `svd_spectrum`, which shows that layout
+building, synthesis and the CSV format are byte-unchanged. ``GOLDEN_SWEEP``
+pins the CLI ``sweep`` bytes of the σ₁-only code, and every CLI σ₁ must lie
+within a relative 1e-12 of the full-SVD σ₁.
+
 The ``si`` and ``coarray`` digests involve no LAPACK call and hold
 everywhere. The bytes of ``svd`` and ``sweep`` outputs also depend on the
 LAPACK build, its CPU kernel and the BLAS thread count: the commands run in
@@ -18,6 +28,7 @@ Print the digests of the code on ``PYTHONPATH`` with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +43,10 @@ import pytest
 
 import fdarray
 from fdarray.cli import main as cli_main
+from fdarray.experiments import ApertureRule, build_family_layout, scaling_sweep, write_sweep_csv
 from fdarray.geometry import FullDuplexLayout, generate_nested, save_layout
+from fdarray.si_model import si_matrix
+from fdarray.spectral import svd_spectrum
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 # LAPACK-dependent pins are checked only with the numpy they were recorded with
@@ -40,6 +54,9 @@ LAPACK_PINNED = np.__version__ == "2.4.6"
 LAPACK_FILES = ("svd_geometry.csv", "svd_matrix_csv.csv", "svd_matrix_json.csv")
 RHO = "0.37"
 SWEEP_RHO = "0.61"
+SWEEP_NS = range(10, 201, 10)
+# prefix of the case that renders a sweep with full-SVD sigma1 (see the docstring)
+FULL_SVD = "full-svd:"
 
 
 def _moved(layout, scale, offset):
@@ -102,20 +119,44 @@ def layout_digests(name, workdir) -> dict:
 
 def sweep_digest(family, rule, workdir) -> str:
     out = Path(workdir) / "sweep.csv"
-    _run(["sweep", "--family", family, "--rule", rule, "--n-min", 10, "--n-max", 200,
-          "--rho", SWEEP_RHO, "-o", out])
+    _run(["sweep", "--family", family, "--rule", rule, "--n-min", SWEEP_NS.start,
+          "--n-max", SWEEP_NS.stop - 1, "--n-step", SWEEP_NS.step, "--rho", SWEEP_RHO, "-o", out])
+    return _sha(out)
+
+
+def cli_sweep(family, rule):
+    """The sweep result `sweep_digest`'s command computes."""
+    return scaling_sweep(family, SWEEP_NS, ApertureRule(kind=rule), rho=float(SWEEP_RHO))
+
+
+def with_full_svd_sigma1(result):
+    """A sweep result with each row's σ₁ taken from the full SVD of its channel."""
+    rows = []
+    for row in result.rows:
+        layout = build_family_layout(result.family, row.n, row.l_target)[0]
+        sigma1 = float(svd_spectrum(si_matrix(layout, result.rho)).sigmas[0])
+        rows.append(dataclasses.replace(row, spectral_norm=sigma1))
+    return dataclasses.replace(result, rows=tuple(rows))
+
+
+def full_svd_sweep_digest(family, rule, workdir) -> str:
+    out = Path(workdir) / "sweep.csv"
+    write_sweep_csv(with_full_svd_sigma1(cli_sweep(family, rule)), out)
     return _sha(out)
 
 
 def digests(cases) -> dict:
-    """Digests of the named cases: layout names and "family/rule" sweeps."""
+    """Digests of the named cases: layout names, "family/rule" sweeps and
+    their full-SVD renderings "full-svd:family/rule"."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            sub = Path(tmp) / case.replace("/", "_")
+            sub = Path(tmp) / case.replace("/", "_").replace(":", "_")
             sub.mkdir()
             if case in LAYOUTS:
                 out[case] = layout_digests(case, sub)
+            elif case.startswith(FULL_SVD):
+                out[case] = full_svd_sweep_digest(*case[len(FULL_SVD):].split("/"), sub)
             else:
                 out[case] = sweep_digest(*case.split("/"), sub)
     return out
@@ -175,6 +216,16 @@ GOLDEN = {
     "nested/quadratic": "6c4fe129a0246b92f49af68a0c78e247014942d37564a2c574c815b0dbb5b6f5",
 }
 
+# CLI sweep bytes with the singular-values-only `spectral_norm`.
+GOLDEN_SWEEP = {
+    "partitioned/linear": "4711b7264f45896d711343d53cab35bbc52567ddfe47efe6d730285297fd2880",
+    "partitioned/quadratic": "49e62f52772d3cb26c4a10faf5473810ca0f21d9f4305428325aaf3c8846e872",
+    "interleaved/linear": "55724758433e71c835b75d4f7594596c2a14724b76340ca7609fe93c29deac09",
+    "interleaved/quadratic": "817126118e26e611ad794c6b49ff960707aff203f99669c311e4f8b66391d950",
+    "nested/linear": "4f5f50b5fed9522dfdee78466202d8c44635ba708b13dd5039d7308154fd6ea8",
+    "nested/quadratic": "c4082e37403913105cbcbe7f22e463013300b833f24b4df520c5c0c4c207c284",
+}
+
 
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
@@ -187,10 +238,28 @@ def test_layout_outputs_match_golden_bytes(name):
 @pytest.mark.skipif(not LAPACK_PINNED, reason="sweep pins were recorded with numpy 2.4.6's OpenBLAS")
 @pytest.mark.parametrize("family,rule", SWEEPS)
 def test_sweep_output_matches_golden_bytes(family, rule):
-    assert child_digests(f"{family}/{rule}") == GOLDEN[f"{family}/{rule}"]
+    """The full-SVD rendering reproduces the bytes the sweep pins recorded."""
+    assert child_digests(f"{FULL_SVD}{family}/{rule}") == GOLDEN[f"{family}/{rule}"]
+
+
+@pytest.mark.skipif(not LAPACK_PINNED, reason="sweep pins were recorded with numpy 2.4.6's OpenBLAS")
+@pytest.mark.parametrize("family,rule", SWEEPS)
+def test_sweep_cli_output_matches_golden_bytes(family, rule):
+    assert child_digests(f"{family}/{rule}") == GOLDEN_SWEEP[f"{family}/{rule}"]
+
+
+def test_sweep_sigma1_agrees_with_full_svd():
+    for family, rule in SWEEPS:
+        got = cli_sweep(family, rule)
+        want = with_full_svd_sigma1(got)
+        assert len(got.rows) == len(SWEEP_NS)
+        for row, ref in zip(got.rows, want.rows):
+            assert row.n == ref.n
+            assert abs(row.spectral_norm - ref.spectral_norm) <= 1e-12 * ref.spectral_norm
 
 
 if __name__ == "__main__":
-    cases = sys.argv[1:] or sorted(LAYOUTS) + [f"{fam}/{rule}" for fam, rule in SWEEPS]
+    sweeps = [f"{pre}{fam}/{rule}" for pre in ("", FULL_SVD) for fam, rule in SWEEPS]
+    cases = sys.argv[1:] or sorted(LAYOUTS) + sweeps
     json.dump(digests(cases), sys.stdout, indent=4)
     print()

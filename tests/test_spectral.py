@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import singular_values_2x2, singular_values_3x3
+from test_properties import rational_layouts
 
+from fdarray.cli import main as cli_main
 from fdarray.geometry import generate_interleaved, generate_partitioned
 from fdarray.si_model import si_matrix
 from fdarray.spectral import (
@@ -142,12 +146,12 @@ def test_partitioned_large_gap_limit_structure():
 
 
 def test_spectrum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        svd_spectrum(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        svd_spectrum(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        svd_spectrum(np.array([[np.inf]]))
+    bad_inputs = (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3), [[np.nan, 1.0]], [[np.inf]],
+                  [[1.0, -np.inf]], [[1.0, complex(0.0, np.nan)]])
+    for decompose in (svd_spectrum, spectral_norm):
+        for bad in bad_inputs:
+            with pytest.raises(ValueError):
+                decompose(bad)
 
 
 def test_spectrum_csv(tmp_path):
@@ -159,3 +163,42 @@ def test_spectrum_csv(tmp_path):
     assert lines[1].startswith("1,1.7207592200")
     assert lines[2].startswith("2,0.3874258867")
     assert float(lines[1].split(",")[1]) == spec.sigmas[0]
+
+
+def test_spectral_norm_cli_sweep_exits_2_on_non_finite_channel(tmp_path, capsys):
+    # an infinite rho passes the rho > 0 check and makes every entry infinite
+    code = cli_main(["sweep", "--family", "nested", "--rule", "quadratic", "--n-min", "10",
+                     "--n-max", "10", "--rho", "inf", "-o", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_spectral_norm_same_for_int_float_and_zero_imaginary_inputs():
+    as_int = np.array([[3, -1, 2], [0, 5, -4], [7, 1, 1]])
+    want = spectral_norm(as_int)
+    for same in (as_int.astype(float), as_int.astype(complex), as_int.tolist()):
+        assert spectral_norm(same) == want
+    # integer-grid channels are stored complex with every imaginary part zero
+    h = si_matrix(generate_interleaved(7, 3), 1.0).h
+    assert np.iscomplexobj(h) and not h.imag.any()
+    assert spectral_norm(h) == spectral_norm(h.real.copy())
+
+
+def test_spectral_norm_complex_path_matches_closed_form():
+    for rho, delta2 in ((1.0, 1), (0.37, 4), (2.5, 9)):
+        want = interleaved_closed_form_n2(rho, delta2)[0]
+        h = si_matrix(generate_interleaved(2, delta2), rho).h
+        assert abs(spectral_norm(h) - want) <= 1e-12 * want
+        # a unit-modulus phase keeps the singular values but makes every entry complex
+        rotated = h * np.exp(0.3j)
+        assert np.all(rotated.imag != 0)
+        assert abs(spectral_norm(rotated) - want) <= 1e-12 * want
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_layouts(), st.floats(0.1, 2.0))
+def test_spectral_norm_matches_gram_eigenvalue_oracle(layout, rho):
+    channel = si_matrix(layout, rho)
+    oracle = math.sqrt(float(np.linalg.eigvalsh(channel.h.conj().T @ channel.h)[-1]))
+    got = spectral_norm(channel)
+    assert abs(got - oracle) <= 1e-12 * oracle
