@@ -71,3 +71,15 @@ def enumerate_sum_coarray(tx_positions, rx_positions):
     else:
         best = None
     return sums, mults, best
+
+
+def direct_array_factor(positions, thetas, theta_s):
+    """sum_n exp(j*pi*x_n*(sin(theta) - sin(theta_s))) as a dense direct sum.
+
+    Every position is rounded to float64 on its own, with no re-centring,
+    and all len(thetas) x len(positions) exponentials are formed at once.
+    Pass positions minus the first one for the re-centred sum.
+    """
+    x = np.array([float(p) for p in positions], dtype=float)
+    u = np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)
+    return np.exp(1j * np.pi * np.multiply.outer(u, x)).sum(axis=-1)

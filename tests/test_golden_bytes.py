@@ -28,8 +28,10 @@ Print the digests of the code on ``PYTHONPATH`` with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -43,8 +45,11 @@ import pytest
 
 import fdarray
 from fdarray.cli import main as cli_main
-from fdarray.experiments import ApertureRule, build_family_layout, scaling_sweep, write_sweep_csv
-from fdarray.geometry import FullDuplexLayout, generate_nested, save_layout
+from oracles import direct_array_factor
+
+from fdarray.beampattern import DB_FLOOR, BeampatternCurve, write_curve_csv
+from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep, write_sweep_csv
+from fdarray.geometry import FullDuplexLayout, generate_nested, load_layout, save_layout
 from fdarray.si_model import si_matrix
 from fdarray.spectral import svd_spectrum
 
@@ -57,6 +62,19 @@ SWEEP_RHO = "0.61"
 SWEEP_NS = range(10, 201, 10)
 # prefix of the case that renders a sweep with full-SVD sigma1 (see the docstring)
 FULL_SVD = "full-svd:"
+# prefix of the cases that render beampatterns with the direct sum (see the docstring)
+DIRECT = "direct:"
+BEAMPATTERN = "beampattern:"
+FIG2 = "fig2"
+FIG2_LAPACK_FILES = tuple(f"spectrum_{fam}.csv" for fam in ("partitioned", "interleaved", "nested"))
+BP_LAYOUTS = ("nested_integer", "nested_thirds_exact", "nested_thirds_roundtrip")
+# beampattern output file -> (side, theta_s, normalized)
+BP_RUNS = {
+    "bp_rx.csv": ("rx", 0.0, False),
+    "bp_tx.csv": ("tx", 0.0, False),
+    "bp_rx_steered.csv": ("rx", 0.41, False),
+    "bp_tx_normalized_steered.csv": ("tx", -0.73, True),
+}
 
 
 def _moved(layout, scale, offset):
@@ -145,15 +163,65 @@ def full_svd_sweep_digest(family, rule, workdir) -> str:
     return _sha(out)
 
 
+def direct_curve(geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
+    """`beampattern`'s curve with magnitudes from the dense direct sum."""
+    thetas = np.linspace(-np.pi / 2, np.pi / 2, grid_size)
+    mag = np.abs(direct_array_factor(geometry.positions, thetas, theta_s))
+    if normalized:
+        peak = mag.max()
+        if peak > 0:
+            mag = mag / peak
+    with np.errstate(divide="ignore"):
+        gains = 20.0 * np.log10(mag)
+    gains = np.maximum(gains, DB_FLOOR)
+    return BeampatternCurve(thetas=thetas, gains_db=gains, steering=float(theta_s), normalized=normalized)
+
+
+def beampattern_digests(name, workdir, direct) -> dict:
+    """Digests of the CLI `beampattern` runs of one layout, or of their
+    direct-sum renderings."""
+    d = Path(workdir)
+    geo = d / "geometry.json"
+    LAYOUTS[name](geo)
+    layout = load_layout(geo)
+    for f, (side, theta_s, normalized) in BP_RUNS.items():
+        if direct:
+            write_curve_csv(direct_curve(getattr(layout, side), theta_s, normalized), d / f)
+        else:
+            flags = ["--normalized"] if normalized else []
+            _run(["beampattern", "--geometry", geo, "--side", side, "--theta-s", theta_s, *flags, "-o", d / f])
+    return {f: _sha(d / f) for f in BP_RUNS}
+
+
+def fig2_digests(workdir, direct) -> dict:
+    """Digests of the CLI `fig2` bundle; with ``direct`` its beampattern
+    CSVs are replaced by direct-sum renderings."""
+    d = Path(workdir) / "bundle"
+    with contextlib.redirect_stdout(io.StringIO()):  # fig2 lists the files it wrote
+        _run(["fig2", "-o", d])
+    if direct:
+        for fam, layout in fig2_study().layouts.items():
+            write_curve_csv(direct_curve(layout.rx, 0.0, False), d / f"beampattern_{fam}.csv")
+    return {p.name: _sha(p) for p in sorted(d.iterdir())}
+
+
 def digests(cases) -> dict:
     """Digests of the named cases: layout names, "family/rule" sweeps and
-    their full-SVD renderings "full-svd:family/rule"."""
+    their full-SVD renderings "full-svd:family/rule", "beampattern:<layout>"
+    and "fig2", and their direct-sum renderings "direct:beampattern:<layout>"
+    and "direct:fig2"."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
             sub = Path(tmp) / case.replace("/", "_").replace(":", "_")
             sub.mkdir()
-            if case in LAYOUTS:
+            direct = case.startswith(DIRECT)
+            base = case[len(DIRECT):] if direct else case
+            if base == FIG2:
+                out[case] = fig2_digests(sub, direct)
+            elif base.startswith(BEAMPATTERN):
+                out[case] = beampattern_digests(base[len(BEAMPATTERN):], sub, direct)
+            elif case in LAYOUTS:
                 out[case] = layout_digests(case, sub)
             elif case.startswith(FULL_SVD):
                 out[case] = full_svd_sweep_digest(*case[len(FULL_SVD):].split("/"), sub)
@@ -227,6 +295,40 @@ GOLDEN_SWEEP = {
 }
 
 
+# Recorded with the dense float direct-sum `array_factor` (see the docstring).
+GOLDEN_CURVES = {
+    "beampattern:nested_integer": {
+        "bp_rx.csv": "c846d35265a77e699823067a2e9e53a3ac8b93f1e1ae20c9335ad7af2de8815e",
+        "bp_tx.csv": "3781d91f27b8a21519243162a762e508150f68873badb8b9fa38562add40483c",
+        "bp_rx_steered.csv": "99057edf004abac6e9f85334e48fbfd7cfc04b67b44736087a1975e2856a5105",
+        "bp_tx_normalized_steered.csv": "205544222544224ecd512efbba13f42b6d69d53e49f59ced9964b717532fcc41",
+    },
+    "beampattern:nested_thirds_exact": {
+        "bp_rx.csv": "25abd0ad5828858585d48a059e97f35726f3c57ed6c0b0b1a679851f1329d750",
+        "bp_tx.csv": "0a1a2145a28e28043a835b528bf59c6208360f3aaac7218cd3ce1c5453097ab7",
+        "bp_rx_steered.csv": "60b80f59a803adb0bb5dbdfd762baa04b70cd0aca1e539fe3cea191b4cf17c83",
+        "bp_tx_normalized_steered.csv": "cd2543dabcafde75a1e2628d157501dbde69ef46d67cb027149811ff341a91cf",
+    },
+    "beampattern:nested_thirds_roundtrip": {
+        "bp_rx.csv": "25abd0ad5828858585d48a059e97f35726f3c57ed6c0b0b1a679851f1329d750",
+        "bp_tx.csv": "0a1a2145a28e28043a835b528bf59c6208360f3aaac7218cd3ce1c5453097ab7",
+        "bp_rx_steered.csv": "60b80f59a803adb0bb5dbdfd762baa04b70cd0aca1e539fe3cea191b4cf17c83",
+        "bp_tx_normalized_steered.csv": "cd2543dabcafde75a1e2628d157501dbde69ef46d67cb027149811ff341a91cf",
+    },
+    "fig2": {
+        "beampattern_interleaved.csv": "5fef5efa802c714be260f06a63bd3cb3c338e62f0d75c5285852aec203d00b3e",
+        "beampattern_nested.csv": "12b481ad2ef3e2df717f31cd93bd9ae2c1a4522e71f2f4cd0f30e59789817861",
+        "beampattern_partitioned.csv": "7dc6166260b3d24cbc1b4a1574b7d0b44b66ff01dd6c0dd35a3f48e5f1dab57e",
+        "geometry_interleaved.json": "83141059216d0bed4d5e50a482e2f5a9cc4a5c938dadfb45b0ebd724c8c11097",
+        "geometry_nested.json": "6610e15422da871f17da5ca347d6db5d068fded282725f186ec9a218dbf3456d",
+        "geometry_partitioned.json": "550e4b0ea3540c6ba06f346820cd274c77aed5f31c433303485a674009379ecd",
+        "spectrum_interleaved.csv": "0855946bd08ba6fd86727d51870465c4a278c4143392a4df590551e46b92a1d0",
+        "spectrum_nested.csv": "3a38ba65df1193c1c4ce366e9761d08ef164003d243a2649d484e29ec52aa4c6",
+        "spectrum_partitioned.csv": "2d29235e3b6623cedc733b29c74d27cc077a9134ffd80573d3aec20ea316756f",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
     got, want = child_digests(name), GOLDEN[name]
@@ -248,6 +350,15 @@ def test_sweep_cli_output_matches_golden_bytes(family, rule):
     assert child_digests(f"{family}/{rule}") == GOLDEN_SWEEP[f"{family}/{rule}"]
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES))
+def test_curve_direct_rendering_matches_golden_bytes(case):
+    """The direct-sum rendering reproduces the bytes the curve pins recorded."""
+    got, want = child_digests(DIRECT + case), GOLDEN_CURVES[case]
+    if not LAPACK_PINNED:
+        got, want = ({k: v for k, v in d.items() if k not in FIG2_LAPACK_FILES} for d in (got, want))
+    assert got == want
+
+
 def test_sweep_sigma1_agrees_with_full_svd():
     for family, rule in SWEEPS:
         got = cli_sweep(family, rule)
@@ -260,6 +371,7 @@ def test_sweep_sigma1_agrees_with_full_svd():
 
 if __name__ == "__main__":
     sweeps = [f"{pre}{fam}/{rule}" for pre in ("", FULL_SVD) for fam, rule in SWEEPS]
-    cases = sys.argv[1:] or sorted(LAYOUTS) + sweeps
+    curves = [f"{pre}{case}" for pre in ("", DIRECT) for case in [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]]
+    cases = sys.argv[1:] or sorted(LAYOUTS) + sweeps + curves
     json.dump(digests(cases), sys.stdout, indent=4)
     print()
