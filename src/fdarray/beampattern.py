@@ -4,6 +4,13 @@ The array factor of a geometry steered to theta_s is
 ``A(theta) = sum_n exp(j*pi*d_n*(sin(theta) - sin(theta_s)))`` with
 positions d_n in half-wavelength units, so a unit-spacing array is
 critically sampled and spacings above one admit grating lobes.
+
+It is evaluated on the exact position ticks ``d_n = (t_0 + t_n)/q`` by a
+baby-step/giant-step split ``t_n = a_n*B + b_n``:
+``A = exp(j*phi*t_0) * sum_a exp(j*phi*a*B) * sum_b counts[b, a]*exp(j*phi*b)``
+with ``phi = pi*u/q``. The inner sums are two real matrix products per block
+of angles, so each angle costs about ``B + #distinct(a)`` sines and cosines
+instead of N complex exponentials, and memory stays bounded per block.
 """
 
 import math
@@ -11,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, position_ticks
 
 DB_FLOOR = -120.0
+# matrix entries per block of angles in `array_factor`: bounds its memory
+_BLOCK_ENTRIES = 2**18
 _HALF_POWER_DB = 20.0 * math.log10(math.sqrt(2.0))
 
 METHOD_NULL_TO_NULL = "null_to_null"
@@ -78,9 +87,31 @@ def array_factor(g: ArrayGeometry, theta, theta_s: float = 0.0):
     th = np.asarray(theta, dtype=float)
     if np.any(th < -np.pi / 2 - 1e-12) or np.any(th > np.pi / 2 + 1e-12):
         raise ValueError("theta must lie in [-pi/2, pi/2]")
-    u = np.sin(th) - math.sin(theta_s)
-    phases = np.multiply.outer(u, g.to_array())
-    out = np.exp(1j * np.pi * phases).sum(axis=-1)
+    (ticks,), denom = position_ticks(g)
+    t = ticks - ticks[0]
+    span = int(t[-1])
+    step = math.isqrt(span - 1) + 1 if span else 1
+    giant, baby = np.divmod(t, step)
+    cols, col = np.unique(giant, return_inverse=True)
+    if step + len(cols) >= len(t):
+        # the split saves nothing: sum over the distinct ticks directly
+        step, baby, cols, col = 1, np.zeros_like(t), t, np.arange(len(t))
+    counts = np.zeros((step, len(cols)))
+    counts[baby, col] = 1.0  # distinct ticks: each (b, a) cell holds at most one
+    baby_ticks = np.arange(step, dtype=float)
+    giant_ticks = cols.astype(float) * step
+    phi = np.pi * (np.sin(th.ravel()) - math.sin(theta_s)) / denom
+    out = np.empty(phi.shape, dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // (step + len(cols)))
+    for lo in range(0, len(phi), rows):
+        p = phi[lo:lo + rows]
+        b = np.multiply.outer(p, baby_ticks)
+        low = 1j * (np.sin(b) @ counts)
+        low += np.cos(b) @ counts
+        giant_phase = np.exp(1j * np.multiply.outer(p, giant_ticks))
+        out[lo:lo + rows] = np.einsum("ij,ij->i", giant_phase, low)
+    out *= np.exp(1j * phi * float(ticks[0]))
+    out = out.reshape(th.shape)
     if np.isscalar(theta) or th.ndim == 0:
         return complex(out)
     return out
@@ -216,12 +247,12 @@ def grating_lobes(curve: BeampatternCurve, tol_db: float = 0.5) -> list[float]:
         return []
     threshold = float(db.max()) - tol_db
     step = curve.grid_step
+    # samples at or above the threshold and no lower than either neighbour
+    candidates = db >= threshold
+    candidates[1:] &= db[1:] >= db[:-1]
+    candidates[:-1] &= db[:-1] >= db[1:]
     lobes = []
-    for i in range(len(db)):
-        left_ok = i == 0 or db[i] >= db[i - 1]
-        right_ok = i == len(db) - 1 or db[i] >= db[i + 1]
-        if not (left_ok and right_ok) or db[i] < threshold:
-            continue
+    for i in np.flatnonzero(candidates).tolist():
         angle = _refine_parabolic(th, db, i)
         if abs(angle - curve.steering) <= 1.5 * step:
             continue

@@ -8,6 +8,7 @@ so integer-grid channels are exactly real with exact signs.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,8 +92,8 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     ----------
     layout : FullDuplexLayout
     rho : float
-        Positive scale factor. The model keeps it constant; any geometry
-        dependence is the caller's business.
+        Finite positive scale factor. The model keeps it constant; any
+        geometry dependence is the caller's business.
 
     Returns
     -------
@@ -101,6 +102,8 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
         Tx-Rx distance. Integer distances produce exactly real entries
         with sign (-1)**d.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got non-finite {rho}")
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     rho = float(rho)

@@ -1,17 +1,34 @@
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import direct_array_factor
+from test_properties import rational_layouts
 
 from fdarray.beampattern import (
     DB_FLOOR,
+    BeampatternCurve,
     array_factor,
     beampattern,
     grating_lobes,
     main_lobe_width,
     write_curve_csv,
 )
-from fdarray.geometry import ArrayGeometry, generate_interleaved, generate_nested
+from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.geometry import (
+    ArrayGeometry,
+    FullDuplexLayout,
+    generate_interleaved,
+    generate_nested,
+    load_layout,
+    save_layout,
+)
 
 
 def ula(n, spacing=1):
@@ -152,3 +169,152 @@ def test_curve_csv(tmp_path):
     assert len(lines) == 65
     theta, gain = (float(x) for x in lines[1].split(","))
     assert theta == curve.thetas[0] and gain == curve.gains_db[0]
+
+
+# --- accuracy against the re-centred direct sum ------------------------------
+#
+# Every check below compares against `oracles.direct_array_factor` on the
+# positions minus the first one (exact rational subtraction, then float), or
+# against a lobe scan written here, never against the code under test.
+
+ACCURACY_THETAS = np.linspace(-np.pi / 2, np.pi / 2, 4096)
+
+
+def assert_matches_recentred_sum(g, thetas, theta_s):
+    got = np.abs(array_factor(g, thetas, theta_s))
+    want = np.abs(direct_array_factor([p - g.positions[0] for p in g.positions], thetas, theta_s))
+    assert np.max(np.abs(got - want)) <= 1e-11 * len(g)
+
+
+def analyze_style_geometries():
+    """Rx sides of the benchmark's `analyze` layouts: linear rule, N = 100..300,
+    translated by up to 1e6, the last family scaled by 1/3."""
+    rng = random.Random(11)
+    cases = []
+    for fam in ("partitioned", "interleaved", "nested", "nested_thirds"):
+        for n in (100, 200, 300):
+            base = "nested" if fam == "nested_thirds" else fam
+            g = build_family_layout(base, n, ApertureRule(kind="linear").target(n))[0].rx
+            if fam == "nested_thirds":
+                g = g.scaled(Fraction(1, 3))
+            offset = rng.randint(0, 10**6)
+            cases.append(pytest.param(g.shifted(offset), rng.uniform(-np.pi / 3, np.pi / 3), id=f"{fam}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("g,theta_s", analyze_style_geometries())
+def test_array_factor_matches_recentred_sum_on_analyze_layouts(g, theta_s):
+    assert_matches_recentred_sum(g, ACCURACY_THETAS, theta_s)
+
+
+@pytest.mark.parametrize("family", ["interleaved", "nested"])
+@pytest.mark.parametrize("n", [60, 200, 300])
+def test_array_factor_matches_recentred_sum_under_quadratic_rule(family, n):
+    # spans near N**2/4: from N = 200 (nested) or 60 (interleaved) on, the
+    # baby-step/giant-step split saves nothing and the distinct ticks are summed directly
+    layout = build_family_layout(family, n, ApertureRule(kind="quadratic").target(n))[0]
+    assert_matches_recentred_sum(layout.tx.shifted(987654), ACCURACY_THETAS, 0.3)
+
+
+def test_array_factor_matches_recentred_sum_on_float_decimal_geometry(tmp_path):
+    exact = generate_nested(40, 40, 1)
+    exact = FullDuplexLayout(
+        tx=exact.tx.scaled(Fraction(1, 2)).shifted(Fraction(1, 3) + 10**6),
+        rx=exact.rx.scaled(Fraction(1, 2)).shifted(Fraction(1, 3)),
+    )
+    path = tmp_path / "thirds.json"
+    save_layout(exact, path)
+    lay = load_layout(path)
+    # 16-digit decimals near 1 and 10-digit ones near 1e6
+    assert math.lcm(*(p.denominator for p in lay.rx.positions)) == 10**16
+    assert math.lcm(*(p.denominator for p in lay.tx.positions)) >= 10**9
+    for g in (lay.tx, lay.rx):
+        assert_matches_recentred_sum(g, ACCURACY_THETAS, -0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_layouts(), st.floats(-np.pi / 2, np.pi / 2))
+def test_array_factor_matches_recentred_sum_on_rational_layouts(layout, theta_s):
+    thetas = np.linspace(-np.pi / 2, np.pi / 2, 257)
+    for g in (layout.tx, layout.rx):
+        assert_matches_recentred_sum(g, thetas, theta_s)
+
+
+@pytest.mark.parametrize("rule", ["linear", "quadratic"])
+def test_beampattern_memory_is_bounded(rule):
+    # the dense direct sum holds 16384 x 1000 complex exponentials, about 260 MB
+    g = build_family_layout("nested", 1000, ApertureRule(kind=rule).target(1000))[0].rx
+    assert len(g) == 1000
+    tracemalloc.start()
+    try:
+        beampattern(g, 0.0, grid_size=16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+# --- grating-lobe scan against a per-sample loop ------------------------------
+
+
+def reference_grating_lobes(curve, tol_db):
+    """The per-sample scan: local maxima at or above peak - tol_db."""
+    db, th = curve.gains_db, curve.thetas
+    if len(db) < 3:
+        return []
+    threshold = float(db.max()) - tol_db
+    step = curve.grid_step
+    lobes = []
+    for i in range(len(db)):
+        left_ok = i == 0 or db[i] >= db[i - 1]
+        right_ok = i == len(db) - 1 or db[i] >= db[i + 1]
+        if not (left_ok and right_ok) or db[i] < threshold:
+            continue
+        if 0 < i < len(db) - 1 and min(db[i - 1], db[i], db[i + 1]) > DB_FLOOR + 1e-9:
+            y0, y1, y2 = db[i - 1], db[i], db[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            offset = 0.0 if abs(denom) < 1e-300 else max(-0.5, min(0.5, 0.5 * (y0 - y2) / denom))
+            angle = float(th[i] + offset * (th[1] - th[0]))
+        else:
+            angle = float(th[i])
+        if abs(angle - curve.steering) <= 1.5 * step:
+            continue
+        if lobes and angle - lobes[-1] <= 1.5 * step:
+            continue
+        lobes.append(angle)
+    return lobes
+
+
+def synthetic_curves():
+    """Curves with plateaus, ties, -120 dB floors and edge maxima."""
+    rng = np.random.default_rng(6)
+    curves = []
+    for size in (3, 33, 4096):
+        thetas = np.linspace(-np.pi / 2, np.pi / 2, size)
+        for k in range(12):
+            levels = rng.choice([DB_FLOOR, -40.0, -3.0, -0.25, 0.0], size=size)
+            if k % 3 == 1:  # runs of equal samples: plateaus and tied peaks
+                levels = np.repeat(levels[: size // 4 + 1], 4)[:size]
+            if k % 3 == 2:  # a smooth ripple with flat tops cut at 0 dB
+                levels = np.minimum(0.0, 3.0 * np.cos(rng.uniform(2, 40) * thetas)) - 1e-3 * (k % 2)
+            steering = float(thetas[rng.integers(size)])
+            curves.append(BeampatternCurve(thetas=thetas, gains_db=levels, steering=steering, normalized=True))
+        curves.append(BeampatternCurve(thetas=thetas, gains_db=np.full(size, DB_FLOOR), steering=0.0, normalized=False))
+    return curves
+
+
+def test_grating_lobes_match_loop_reference_on_synthetic_curves():
+    for curve in synthetic_curves():
+        for tol_db in (0.0, 0.5, 3.0, 200.0):
+            assert grating_lobes(curve, tol_db) == reference_grating_lobes(curve, tol_db)
+
+
+@pytest.mark.parametrize("grid_size", [3, 33, 4096])
+def test_grating_lobes_match_loop_reference_on_patterns(grid_size):
+    geometries = [ula(11), ula(8, spacing=4), generate_interleaved(11, 2).rx, generate_nested(6, 5, 3).rx]
+    for g in geometries:
+        for theta_s in (0.0, 0.52, -1.2):
+            for normalized in (False, True):
+                curve = beampattern(g, theta_s, grid_size=grid_size, normalized=normalized)
+                for tol_db in (0.5, 6.0):
+                    assert grating_lobes(curve, tol_db) == reference_grating_lobes(curve, tol_db)

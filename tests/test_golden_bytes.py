@@ -16,12 +16,25 @@ building, synthesis and the CSV format are byte-unchanged. ``GOLDEN_SWEEP``
 pins the CLI ``sweep`` bytes of the σ₁-only code, and every CLI σ₁ must lie
 within a relative 1e-12 of the full-SVD σ₁.
 
-The ``si`` and ``coarray`` digests involve no LAPACK call and hold
-everywhere. The bytes of ``svd`` and ``sweep`` outputs also depend on the
-LAPACK build, its CPU kernel and the BLAS thread count: the commands run in
-a child interpreter with one BLAS thread, and those pins, taken with numpy
-2.4.6's bundled OpenBLAS 0.3.31 on an x86-64 Xeon, are checked only under
-that numpy version.
+The ``GOLDEN_CURVES`` digests (``beampattern`` CSVs and the ``fig2``
+bundle) were recorded when `array_factor` summed one complex exponential
+per angle and float position. It now works on exact integer ticks with
+matrix products (see `fdarray.beampattern`), and the gains move in their
+last digits. Those digests are therefore checked against a reference
+rendering: the same curves with magnitudes from
+`oracles.direct_array_factor`, the old formula, which shows that the angle
+grid, the dB conversion, the CSV format and the rest of the ``fig2`` bundle
+are byte-unchanged. ``GOLDEN_CURVES_TICKS`` pins the CLI bytes of the
+tick-based code; `tests/test_beampattern.py` holds its magnitudes to 1e-11
+per element of the re-centred direct sum.
+
+The ``si`` and ``coarray`` digests and the direct-sum curve renderings
+involve no BLAS or LAPACK call and hold everywhere. The bytes of ``svd`` and
+``sweep`` outputs, the ``fig2`` spectra and the tick-based curves also
+depend on the BLAS/LAPACK build, its CPU kernel and the BLAS thread count:
+the commands run in a child interpreter with one BLAS thread, and those
+pins, taken with numpy 2.4.6's bundled OpenBLAS 0.3.31 on an x86-64 Xeon,
+are checked only under that numpy version.
 
 Print the digests of the code on ``PYTHONPATH`` with::
 
@@ -43,11 +56,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fdarray
-from fdarray.cli import main as cli_main
 from oracles import direct_array_factor
 
+import fdarray
 from fdarray.beampattern import DB_FLOOR, BeampatternCurve, write_curve_csv
+from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep, write_sweep_csv
 from fdarray.geometry import FullDuplexLayout, generate_nested, load_layout, save_layout
 from fdarray.si_model import si_matrix
@@ -329,6 +342,40 @@ GOLDEN_CURVES = {
 }
 
 
+# CLI beampattern and fig2 bytes with the tick-based `array_factor`.
+GOLDEN_CURVES_TICKS = {
+    "beampattern:nested_integer": {
+        "bp_rx.csv": "1d9f1a391268b3c26768a504a4e076e26902f10d1fa994f7c747d1aa66382438",
+        "bp_tx.csv": "0419059255723acfe8e3d4aede9bcdab20d1e7d699ee6e18000b3feb44b0f1e3",
+        "bp_rx_steered.csv": "4e905bebbe5d4aa42e1c2b027f4967e64b3c3548d58ad81e2d94a6e7c1b744d6",
+        "bp_tx_normalized_steered.csv": "87b4862304449a6d8c509864f9e0beed808b372a15e0f9b2a415c1f6c613741d",
+    },
+    "beampattern:nested_thirds_exact": {
+        "bp_rx.csv": "e983777da80ec0affca88c9d22763c441dcdc2e30b7c792636707ce11a7ff0b8",
+        "bp_tx.csv": "9269ba4197e0bf9f38290a7f01d2ea7c4d8ba2f50e372082716869fb3b31fc90",
+        "bp_rx_steered.csv": "7ba604a24395f18cf7c5faf1e7f3841feb9708864372b77a43d1071a5a39e67e",
+        "bp_tx_normalized_steered.csv": "1c9e33a316e5b968143215b19875ed3f18ded9bfc2207a52b760806344b89b10",
+    },
+    "beampattern:nested_thirds_roundtrip": {
+        "bp_rx.csv": "3006fe81a7288abfa2d24051d092e65f0010dab9a56a0b19c6e1e2234a57ee1f",
+        "bp_tx.csv": "2b1629c668fba2885bcaf85c3f2cb5c3c76d3c7628b57642d90050b765c1abc9",
+        "bp_rx_steered.csv": "9b284c84fd4ee4a9b91ad96998862cf8eb5e1c58d62135ebbd0db552d3c51923",
+        "bp_tx_normalized_steered.csv": "cce4ddb544e6d15149d369c16a30f2372e3ba1cbdd6d86494b4556cbe463aa3c",
+    },
+    "fig2": {
+        "beampattern_interleaved.csv": "11f7998c01437e3f01764b9d837321ae6dfd376fa7bba241c1846f303cf8ec06",
+        "beampattern_nested.csv": "f8391795a7098fa678fc0077f1336bd5c7ae527901ebdc2167604eb5b44e8a34",
+        "beampattern_partitioned.csv": "cf20776207c490311e2729d12ebcd1eb32e4c646ac2e3adec828cd5596574077",
+        "geometry_interleaved.json": "83141059216d0bed4d5e50a482e2f5a9cc4a5c938dadfb45b0ebd724c8c11097",
+        "geometry_nested.json": "6610e15422da871f17da5ca347d6db5d068fded282725f186ec9a218dbf3456d",
+        "geometry_partitioned.json": "550e4b0ea3540c6ba06f346820cd274c77aed5f31c433303485a674009379ecd",
+        "spectrum_interleaved.csv": "0855946bd08ba6fd86727d51870465c4a278c4143392a4df590551e46b92a1d0",
+        "spectrum_nested.csv": "3a38ba65df1193c1c4ce366e9761d08ef164003d243a2649d484e29ec52aa4c6",
+        "spectrum_partitioned.csv": "2d29235e3b6623cedc733b29c74d27cc077a9134ffd80573d3aec20ea316756f",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
     got, want = child_digests(name), GOLDEN[name]
@@ -357,6 +404,12 @@ def test_curve_direct_rendering_matches_golden_bytes(case):
     if not LAPACK_PINNED:
         got, want = ({k: v for k, v in d.items() if k not in FIG2_LAPACK_FILES} for d in (got, want))
     assert got == want
+
+
+@pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
+def test_curve_cli_output_matches_golden_bytes(case):
+    assert child_digests(case) == GOLDEN_CURVES_TICKS[case]
 
 
 def test_sweep_sigma1_agrees_with_full_svd():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fdarray.cli import main as cli_main
 from fdarray.geometry import (
     ArrayGeometry,
     ColocatedAntennaError,
@@ -11,6 +12,7 @@ from fdarray.geometry import (
     generate_interleaved,
     generate_nested,
     generate_partitioned,
+    save_layout,
 )
 from fdarray.si_model import (
     DistanceMatrix,
@@ -85,6 +87,20 @@ def test_si_matrix_rejects_bad_rho():
     for rho in (0.0, -1.0):
         with pytest.raises(ValueError):
             si_matrix(lay, rho)
+
+
+@pytest.mark.parametrize("rho", [float("inf"), float("-inf"), float("nan")])
+def test_si_matrix_rejects_non_finite_rho(rho, tmp_path, capsys):
+    lay = generate_nested(3, 3, 2)
+    with pytest.raises(ValueError, match="finite"):
+        si_matrix(lay, rho)
+    geo = tmp_path / "g.json"
+    save_layout(lay, geo)
+    out = tmp_path / "si.json"
+    code = cli_main(["si", "--geometry", str(geo), f"--rho={rho}", "--format", "json", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("fdarray: error:")
+    assert not out.exists()
 
 
 def test_integer_grid_exactness():

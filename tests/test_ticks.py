@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fdarray.beampattern import array_factor, beampattern
 from fdarray.cli import main as cli_main
 from fdarray.coarray import sum_coarray
 from fdarray.geometry import (
+    ArrayGeometry,
     FullDuplexLayout,
     generate_nested,
     load_layout,
@@ -51,6 +53,22 @@ def test_cli_reports_tick_overflow_as_usage_error(command, tmp_path, capsys):
     doc = {"tx": [str(p) for p in PRIME_TX], "rx": [str(p) for p in PRIME_RX]}
     geo.write_text(json.dumps(doc))
     code = cli_main([command, "--geometry", str(geo), "-o", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("fdarray: error:")
+    assert str(PRIME_DENOM) in err
+
+
+def test_beampattern_tick_overflow_raises_naming_the_denominator(tmp_path, capsys):
+    # one side whose own positions overflow: beampattern reads one side only
+    side = PRIME_TX + PRIME_RX
+    with pytest.raises(ValueError, match=f"common denominator {PRIME_DENOM}"):
+        beampattern(ArrayGeometry(side))
+    with pytest.raises(ValueError, match="common denominator 2"):
+        array_factor(ArrayGeometry([Fraction(2**62 + 1, 2), 0]), 0.0)
+    geo = tmp_path / "primes.json"
+    geo.write_text(json.dumps({"tx": ["5"], "rx": [str(p) for p in side]}))
+    code = cli_main(["beampattern", "--geometry", str(geo), "-o", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("fdarray: error:")
