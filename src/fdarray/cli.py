@@ -18,16 +18,7 @@ import numpy as np
 from . import coarray as coarray_mod
 from . import experiments, si_model, spectral
 from .beampattern import beampattern, write_curve_csv
-from .geometry import (
-    ColocatedAntennaError,
-    FullDuplexLayout,
-    ascii_sketch,
-    generate_interleaved,
-    generate_nested,
-    generate_partitioned,
-    load_layout,
-    save_layout,
-)
+from .geometry import FAMILIES, ColocatedAntennaError, FullDuplexLayout, ascii_sketch, load_layout, save_layout
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,22 +27,11 @@ EXIT_NUMERICAL = 4
 
 
 def _build_layout_from_args(args) -> FullDuplexLayout:
-    if args.family == "partitioned":
-        _require(args, "n", "delta1")
-        return generate_partitioned(args.n, args.delta1)
-    if args.family == "interleaved":
-        _require(args, "n", "delta2")
-        return generate_interleaved(args.n, args.delta2)
-    _require(args, "m1", "m2", "delta3")
-    return generate_nested(args.m1, args.m2, args.delta3)
-
-
-def _require(args, *names) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+    spec = FAMILIES[args.family]
+    missing = [f"--{p}" for p in spec.params if getattr(args, p) is None]
     if missing:
-        raise ValueError(
-            f"family {args.family!r} requires {', '.join(missing)}"
-        )
+        raise ValueError(f"family {args.family!r} requires {', '.join(missing)}")
+    return spec.generate(**{p: getattr(args, p) for p in spec.params})
 
 
 def cmd_geometry(args) -> int:
@@ -141,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_geo = sub.add_parser("geometry", help="generate a layout JSON file")
-    p_geo.add_argument("--family", required=True, choices=experiments.FAMILIES)
+    p_geo.add_argument("--family", required=True, choices=FAMILIES)
     p_geo.add_argument("--n", type=int, help="antennas per side (partitioned/interleaved)")
     p_geo.add_argument("--delta1", type=int, help="partitioned Tx/Rx gap")
     p_geo.add_argument("--delta2", type=int, help="interleaved spacing")
@@ -181,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_co.set_defaults(func=cmd_coarray)
 
     p_sw = sub.add_parser("sweep", help="spectral norm vs antenna count under an aperture rule")
-    p_sw.add_argument("--family", required=True, choices=experiments.FAMILIES)
+    p_sw.add_argument("--family", required=True, choices=FAMILIES)
     p_sw.add_argument("--rule", required=True, choices=(experiments.RULE_LINEAR, experiments.RULE_QUADRATIC))
     p_sw.add_argument("--coeff", type=float, default=None, help="aperture coefficient (default 2 linear / 0.26 quadratic)")
     p_sw.add_argument("--l-max", type=float, default=None, help="cap on the target aperture")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import FullDuplexLayout, generate_nested, position_ticks, solve_nested_params
+from .geometry import FullDuplexLayout, build_family_layout, position_ticks
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,13 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
         target_aperture = lambda n: 0.26 * n * n
     rows = []
     for n in n_values:
-        m1, m2, delta3, _ = solve_nested_params(n, target_aperture(n))
-        layout = generate_nested(m1, m2, delta3)
-        coarray = sum_coarray(layout)
+        layout, params, _ = build_family_layout("nested", n, target_aperture(n))
         rows.append(
             CoarrayScalingRow(
                 n=int(n),
-                contiguous_len=int(coarray.contiguous_len),
+                contiguous_len=int(sum_coarray(layout).contiguous_len),
                 aperture=int(layout.joint_aperture),
-                m1=m1,
-                m2=m2,
-                delta3=delta3,
+                **dict(params),
             )
         )
     if not rows:

@@ -7,24 +7,21 @@ where the rule is infeasible (the solved parameter had to be clamped to
 its minimum) are flagged rather than dropped.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 from .beampattern import BeampatternCurve, beampattern, write_curve_csv
 from .geometry import (
     FullDuplexLayout,
+    build_family_layout,
     generate_interleaved,
     generate_nested,
     generate_partitioned,
     save_layout,
-    solve_interleaved_spacing,
-    solve_nested_params,
-    solve_partitioned_gap,
 )
 from .si_model import si_matrix
 from .spectral import SingularSpectrum, spectral_norm, svd_spectrum, write_spectrum_csv
-
-FAMILIES = ("partitioned", "interleaved", "nested")
 
 RULE_LINEAR = "linear"
 RULE_QUADRATIC = "quadratic"
@@ -44,6 +41,10 @@ class ApertureRule:
             raise ValueError(f"unknown aperture rule {self.kind!r}")
         if self.coeff is None:
             object.__setattr__(self, "coeff", DEFAULT_COEFF[self.kind])
+        for name in ("coeff", "l_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"aperture rule {name} must be finite, got {value}")
         if self.coeff <= 0:
             raise ValueError("aperture coefficient must be > 0")
 
@@ -73,36 +74,13 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def build_family_layout(family: str, n: int, l_target: float):
-    """Layout of a family sized to a target aperture.
-
-    Returns
-    -------
-    (layout, params, feasible)
-        ``params`` is a tuple of (name, value) pairs; ``feasible`` is
-        False when the solved parameter was clamped to its minimum and
-        the target aperture is therefore not met.
-    """
-    if family == "partitioned":
-        delta1, clamped = solve_partitioned_gap(n, l_target)
-        return generate_partitioned(n, delta1), (("delta1", delta1),), not clamped
-    if family == "interleaved":
-        delta2, clamped = solve_interleaved_spacing(n, l_target)
-        return generate_interleaved(n, delta2), (("delta2", delta2),), not clamped
-    if family == "nested":
-        m1, m2, delta3, clamped = solve_nested_params(n, l_target)
-        layout = generate_nested(m1, m2, delta3)
-        return layout, (("m1", m1), ("m2", m2), ("delta3", delta3)), not clamped
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -> SweepResult:
     """Spectral norm of the SI channel across antenna counts under a rule.
 
     Parameters
     ----------
     family : str
-        One of 'partitioned', 'interleaved', 'nested'.
+        A key of `geometry.FAMILIES`.
     n_values : iterable of int
         Antennas per side; rows come out sorted by N.
     rule : ApertureRule
@@ -113,8 +91,6 @@ def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -
     -------
     SweepResult
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     ns = sorted(int(n) for n in n_values)
     if not ns:
         raise ValueError("n_values must be nonempty")
@@ -194,7 +170,7 @@ def write_fig2_bundle(study: Fig2Study, directory) -> list[str]:
     """
     os.makedirs(directory, exist_ok=True)
     written = []
-    for fam in FAMILIES:
+    for fam in study.layouts:
         geo_path = os.path.join(directory, f"geometry_{fam}.json")
         save_layout(study.layouts[fam], geo_path)
         curve_path = os.path.join(directory, f"beampattern_{fam}.csv")

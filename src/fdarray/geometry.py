@@ -3,10 +3,14 @@
 Positions are stored as exact rationals (:class:`fractions.Fraction`) so that
 integer-grid layouts yield exact pairwise distances and exact sign patterns
 downstream; floating point enters only when the channel model is evaluated.
+
+`FAMILIES` is the one table of layout families: each row names a
+generator, its parameters and the solver that sizes it to an aperture.
 """
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,10 +87,6 @@ class ArrayGeometry:
         c = _as_fraction(offset)
         return ArrayGeometry(tuple(p + c for p in self.positions))
 
-    def to_array(self) -> np.ndarray:
-        """Positions as a float64 vector (rounding non-dyadic rationals)."""
-        return np.array([float(p) for p in self.positions], dtype=float)
-
 
 @dataclass(frozen=True)
 class FullDuplexLayout:
@@ -111,7 +111,10 @@ class FullDuplexLayout:
         for name in ("tx", "rx"):
             g = getattr(self, name)
             if not isinstance(g, ArrayGeometry):
-                object.__setattr__(self, name, ArrayGeometry(tuple(g)))
+                try:
+                    object.__setattr__(self, name, ArrayGeometry(tuple(g)))
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"{name} side: {exc}") from None
         shared = set(self.tx.positions) & set(self.rx.positions)
         if shared:
             at = ", ".join(str(p) for p in sorted(shared))
@@ -163,16 +166,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-def aperture(g: ArrayGeometry) -> Fraction:
-    """Aperture of a single geometry, in half-wavelength units."""
-    return g.aperture
-
-
-def joint_aperture(layout: FullDuplexLayout) -> Fraction:
-    """Joint Tx-Rx aperture of a layout, in half-wavelength units."""
-    return layout.joint_aperture
 
 
 def generate_partitioned(n: int, delta1: int = 0) -> FullDuplexLayout:
@@ -341,6 +334,49 @@ def solve_nested_params(n: int, l_target: float) -> tuple[int, int, int, bool]:
     return m1, m2, max(1, raw), raw < 1
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """One layout family: its generator and the solver that sizes it.
+
+    ``params`` names the generator's arguments in call order. ``solve``
+    maps ``(n, l_target)`` to the values of those arguments other than
+    ``n``, in the same order, followed by a ``clamped`` flag.
+    """
+
+    generate: Callable[..., FullDuplexLayout]
+    params: tuple[str, ...]
+    solve: Callable[[int, float], tuple]
+
+
+FAMILIES = {
+    "partitioned": FamilySpec(generate_partitioned, ("n", "delta1"), solve_partitioned_gap),
+    "interleaved": FamilySpec(generate_interleaved, ("n", "delta2"), solve_interleaved_spacing),
+    "nested": FamilySpec(generate_nested, ("m1", "m2", "delta3"), solve_nested_params),
+}
+
+
+def build_family_layout(family: str, n: int, l_target: float):
+    """Layout of a family with n antennas per side sized to a target aperture.
+
+    Returns
+    -------
+    (layout, params, feasible)
+        ``params`` is a tuple of (name, value) pairs, one per generator
+        argument other than ``n``; ``feasible`` is False when the solved
+        parameter was clamped to its minimum and the target aperture is
+        therefore not met.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    if not math.isfinite(l_target):
+        raise ValueError(f"target aperture must be finite, got {l_target}")
+    spec = FAMILIES[family]
+    *values, clamped = spec.solve(n, l_target)
+    params = tuple(zip([p for p in spec.params if p != "n"], values))
+    sizes = {"n": n} if "n" in spec.params else {}
+    return spec.generate(**sizes, **dict(params)), params, not clamped
+
+
 def layout_to_dict(layout: FullDuplexLayout) -> dict:
     """JSON-ready mapping: integer positions stay integers, others decay to float."""
 
@@ -356,26 +392,23 @@ def layout_to_dict(layout: FullDuplexLayout) -> dict:
 
 
 def layout_from_dict(data: dict) -> FullDuplexLayout:
-    """Build and re-validate a layout from its mapping form."""
+    """Build a layout from its mapping form.
+
+    ``tx`` and ``rx`` must be lists. The `FullDuplexLayout` constructor
+    validates their positions: an empty side or a duplicate position
+    raises ValueError, a colocated Tx/Rx pair raises ColocatedAntennaError.
+    """
     if not isinstance(data, dict):
         raise ValueError("geometry document must be a JSON object")
     for key in ("tx", "rx"):
         if key not in data:
             raise ValueError(f"geometry document is missing the '{key}' field")
+        if not isinstance(data[key], list):
+            raise ValueError(f"geometry field '{key}' must be a list of positions")
     units = data.get("units", GEOMETRY_UNITS)
     if units != GEOMETRY_UNITS:
         raise ValueError(f"unsupported units {units!r}; expected {GEOMETRY_UNITS!r}")
-    report = validate(data["tx"], data["rx"])
-    if not report.ok:
-        msg = "; ".join(report.errors)
-        if any("colocated" in e for e in report.errors):
-            raise ColocatedAntennaError(msg)
-        raise ValueError(msg)
-    return FullDuplexLayout(
-        tx=ArrayGeometry(tuple(_as_fraction(p) for p in data["tx"])),
-        rx=ArrayGeometry(tuple(_as_fraction(p) for p in data["rx"])),
-        label=str(data.get("label", "")),
-    )
+    return FullDuplexLayout(tx=data["tx"], rx=data["rx"], label=str(data.get("label", "")))
 
 
 def save_layout(layout: FullDuplexLayout, path) -> None:
@@ -386,7 +419,7 @@ def save_layout(layout: FullDuplexLayout, path) -> None:
 
 
 def load_layout(path) -> FullDuplexLayout:
-    """Load and re-validate a layout JSON document.
+    """Load and validate a layout JSON document (see `layout_from_dict`).
 
     Decimal position values are parsed as exact decimal fractions, so
     ``0.5`` loads as the rational 1/2 rather than a float.

@@ -65,6 +65,17 @@ class SIChannelMatrix:
         return self.h.shape
 
 
+def as_matrix(matrix, dtype=None) -> np.ndarray:
+    """2-D array of an SIChannelMatrix (its ``h``) or of any 2-D array-like.
+
+    Raises ValueError on any other number of dimensions.
+    """
+    arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix, dtype=dtype)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    return arr
+
+
 def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
     """Exact |d_rx[n] - d_tx[m]| matrix of a layout.
 
@@ -126,11 +137,7 @@ def is_toeplitz(matrix, tol: float = 0.0) -> bool:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    if isinstance(matrix, DistanceMatrix):
-        matrix = matrix.ticks
-    arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = as_matrix(matrix.ticks if isinstance(matrix, DistanceMatrix) else matrix)
     a, b = arr[1:, 1:], arr[:-1, :-1]
     return not np.any(a != b if tol == 0 else np.abs(a - b) > tol)
 
@@ -172,9 +179,7 @@ def si_leakage(h, s) -> np.ndarray:
     ndarray
         Complex vector of length n_rx (the matrix-vector product).
     """
-    arr = h.h if isinstance(h, SIChannelMatrix) else np.asarray(h, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D channel matrix, got shape {arr.shape}")
+    arr = as_matrix(h, complex)
     vec = np.asarray(s, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] != arr.shape[1]:
         raise ValueError(
@@ -210,9 +215,7 @@ def _parse_cell(cell: str) -> complex:
 
 def write_matrix_csv(matrix, path) -> None:
     """Write a matrix as CSV: plain values when real, 'a+bi' cells otherwise."""
-    arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = as_matrix(matrix)
     is_real = not np.iscomplexobj(arr) or not np.any(arr.imag != 0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in arr:
@@ -246,9 +249,7 @@ def load_matrix_csv(path) -> np.ndarray:
 
 def write_matrix_json(matrix, path) -> None:
     """Write a matrix as nested JSON arrays of [re, im] pairs."""
-    arr = np.asarray(matrix.h if isinstance(matrix, SIChannelMatrix) else matrix, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = as_matrix(matrix, complex)
     data = np.stack((arr.real, arr.imag), -1).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(data))
@@ -260,9 +261,7 @@ def load_matrix_json(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in data])
+        rows = [[complex(c[0], c[1]) for c in row] for row in data]
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed matrix document in {path}: {exc}") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return arr
+    return as_matrix(rows)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import generate_partitioned
-from .si_model import SIChannelMatrix, si_matrix
+from .si_model import as_matrix, si_matrix
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,8 @@ def _as_matrix(h) -> np.ndarray:
     ValueError
         On a non-2-D or empty matrix, or non-finite entries.
     """
-    arr = h.h if isinstance(h, SIChannelMatrix) else np.asarray(h)
-    arr = np.asarray(arr, dtype=float if arr.dtype.kind in "biuf" else complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = as_matrix(h)
+    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
     if arr.size == 0:
         raise ValueError("cannot decompose an empty matrix")
     if not np.all(np.isfinite(arr)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdarray.cli import main
-from fdarray.geometry import generate_nested, load_layout
+from fdarray.geometry import FAMILIES, build_family_layout, generate_nested, load_layout, save_layout
 from fdarray.si_model import load_matrix_csv, load_matrix_json, si_matrix
 from fdarray.spectral import svd_spectrum
 
@@ -45,6 +45,22 @@ def test_geometry_missing_family_flag_exits_2(tmp_path, capsys):
     code = run("geometry", "--family", "partitioned", "-o", str(tmp_path / "x.json"))
     assert code == 2
     assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_geometry_command_matches_solved_family_layout(tmp_path, family):
+    n = 7
+    layout, params, feasible = build_family_layout(family, n, 40.0)
+    assert feasible
+    argv = ["geometry", "--family", family]
+    if "n" in FAMILIES[family].params:
+        argv += ["--n", str(n)]
+    for name, value in params:
+        argv += [f"--{name}", str(value)]
+    out, want = tmp_path / "cli.json", tmp_path / "api.json"
+    assert run(*argv, "-o", str(out)) == 0
+    save_layout(layout, want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_missing_required_flag_is_argparse_error(tmp_path):
@@ -162,6 +178,15 @@ def test_sweep_command_flags_infeasible_rows(tmp_path):
     assert all(line.endswith(",0") for line in lines[1:])  # feasible == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--coeff", "inf"), ("--l-max", "nan"), ("--coeff", "nan")])
+def test_sweep_command_rejects_non_finite_rule(tmp_path, capsys, flag, value):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--family", "partitioned", "--rule", "linear", flag, value,
+               "-o", str(out)) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_command_range_validation(tmp_path):
     assert run("sweep", "--family", "nested", "--rule", "linear",
                "--n-min", "30", "--n-max", "10", "-o", str(tmp_path / "x.csv")) == 2
@@ -181,6 +206,26 @@ def test_singular_layout_exits_3(tmp_path, capsys):
     write_layout_json(geo, tx=[0, 1], rx=[0])
     assert run("si", "--geometry", str(geo), "-o", str(tmp_path / "m.csv")) == 3
     assert "colocated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tx, rx, code",
+    [
+        ([], [0], 2),  # empty side
+        ([1, 1], [0], 2),  # duplicate position
+        ([None], [0], 2),  # null position
+        ([0], [0], 3),  # colocated pair only
+        ([0, 0], [0], 2),  # duplicate and colocated: malformed before singular
+        ("12", [0], 2),  # a string, not a list of positions
+    ],
+)
+def test_layout_file_defects_exit_codes(tmp_path, capsys, tx, rx, code):
+    geo = tmp_path / "bad.json"
+    write_layout_json(geo, tx=tx, rx=rx)
+    assert run("si", "--geometry", str(geo), "-o", str(tmp_path / "m.csv")) == code
+    assert not (tmp_path / "m.csv").exists()
+    # a malformed side is named; a singular layout names the colocated position
+    assert ("tx" if code == 2 else "colocated") in capsys.readouterr().err
 
 
 def test_unparseable_geometry_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,12 @@ def test_scaling_saturates_under_constant_aperture():
 def test_scaling_rejects_empty():
     with pytest.raises(ValueError):
         coarray_scaling([])
+
+
+def test_scaling_rejects_non_finite_target():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            coarray_scaling([10, 20], target_aperture=lambda n: bad)
 
 
 def test_loglog_slope_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from fdarray.experiments import (
     write_fig2_bundle,
     write_sweep_csv,
 )
-from fdarray.geometry import validate
+from fdarray.geometry import FAMILIES, validate
 from fdarray.si_model import si_matrix
 from fdarray.spectral import spectral_norm
 
@@ -38,6 +40,21 @@ def test_build_family_layout_hits_target_when_feasible():
         assert dict(params)
     with pytest.raises(ValueError):
         build_family_layout("ring", 4, 10.0)
+
+
+def test_aperture_rule_rejects_non_finite_inputs():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="coeff must be finite"):
+            ApertureRule(kind="linear", coeff=bad)
+        with pytest.raises(ValueError, match="l_max must be finite"):
+            ApertureRule(kind="quadratic", l_max=bad)
+
+
+def test_build_family_layout_rejects_non_finite_target():
+    for family in FAMILIES:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="target aperture must be finite"):
+                build_family_layout(family, 11, bad)
 
 
 def test_build_family_layout_flags_clamped_rows():

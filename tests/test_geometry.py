@@ -6,12 +6,10 @@ from fdarray.geometry import (
     ArrayGeometry,
     ColocatedAntennaError,
     FullDuplexLayout,
-    aperture,
     ascii_sketch,
     generate_interleaved,
     generate_nested,
     generate_partitioned,
-    joint_aperture,
     layout_from_dict,
     layout_to_dict,
     load_layout,
@@ -31,7 +29,7 @@ def test_partitioned_reference_layout():
     lay = generate_partitioned(11, 0)
     assert ints(lay.rx) == list(range(11))
     assert ints(lay.tx) == list(range(11, 22))
-    assert joint_aperture(lay) == 21
+    assert lay.joint_aperture == 21
 
 
 def test_partitioned_small_cases():
@@ -48,7 +46,7 @@ def test_partitioned_gap_and_aperture_identities():
             lay = generate_partitioned(n, delta1)
             assert len(lay.tx) == len(lay.rx) == n
             assert lay.tx.positions[0] - lay.rx.positions[-1] == delta1 + 1
-            assert joint_aperture(lay) == 2 * n - 1 + delta1
+            assert lay.joint_aperture == 2 * n - 1 + delta1
             assert validate(lay).ok
 
 
@@ -61,7 +59,7 @@ def test_interleaved_reference_layout():
 def test_interleaved_small_and_aperture():
     lay = generate_interleaved(1, 3)
     assert ints(lay.rx) == [0] and ints(lay.tx) == [3]
-    assert joint_aperture(generate_interleaved(11, 2)) == 42
+    assert generate_interleaved(11, 2).joint_aperture == 42
 
 
 def test_interleaved_strict_alternation():
@@ -73,7 +71,7 @@ def test_interleaved_strict_alternation():
             )
             tags = "".join(tag for _, tag in merged)
             assert tags == "RT" * n
-            assert joint_aperture(lay) == delta2 * (2 * n - 1)
+            assert lay.joint_aperture == delta2 * (2 * n - 1)
             assert validate(lay).ok
 
 
@@ -81,7 +79,7 @@ def test_nested_reference_layout():
     lay = generate_nested(6, 5, 3)
     assert ints(lay.rx) == [0, 1, 2, 3, 4, 5, 11, 17, 23, 29, 35]
     assert ints(lay.tx) == [8, 14, 20, 26, 32, 38, 39, 40, 41, 42, 43]
-    assert joint_aperture(lay) == 43
+    assert lay.joint_aperture == 43
     assert validate(lay).ok
 
 
@@ -126,8 +124,8 @@ def test_array_geometry_invariants():
         ArrayGeometry((1, 1, 2))
     with pytest.raises(ValueError):
         ArrayGeometry(())
-    assert aperture(ArrayGeometry((5,))) == 0
-    assert aperture(g) == 4
+    assert ArrayGeometry((5,)).aperture == 0
+    assert g.aperture == 4
 
 
 def test_set_scaling_and_translation():

@@ -166,10 +166,24 @@ def test_spectrum_csv(tmp_path):
 
 
 def test_spectral_norm_cli_sweep_exits_2_on_non_finite_channel(tmp_path, capsys):
-    # an infinite rho passes the rho > 0 check and makes every entry infinite
+    # covers si_matrix's rho check, which rejects an infinite rho before any entry is built
     code = cli_main(["sweep", "--family", "nested", "--rule", "quadratic", "--n-min", "10",
                      "--n-max", "10", "--rho", "inf", "-o", str(tmp_path / "sweep.csv")])
     assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("m.csv", "1.0,inf\n0.5,2.0\n"),
+        ("m.json", "[[[1.0, 0.0], [NaN, 0.0]], [[0.5, 0.0], [2.0, 0.0]]]\n"),
+    ],
+)
+def test_svd_cli_matrix_file_with_non_finite_entry_exits_2(tmp_path, capsys, name, text):
+    mat = tmp_path / name
+    mat.write_text(text)
+    assert cli_main(["svd", "--matrix", str(mat), "-o", str(tmp_path / "s.csv")]) == 2
     assert "non-finite" in capsys.readouterr().err
 
 
