@@ -7,10 +7,14 @@ critically sampled and spacings above one admit grating lobes.
 
 It is evaluated on the exact position ticks ``d_n = (t_0 + t_n)/q`` by a
 baby-step/giant-step split ``t_n = a_n*B + b_n``:
-``A = exp(j*phi*t_0) * sum_a exp(j*phi*a*B) * sum_b counts[b, a]*exp(j*phi*b)``
-with ``phi = pi*u/q``. The inner sums are two real matrix products per block
-of angles, so each angle costs about ``B + #distinct(a)`` sines and cosines
-instead of N complex exponentials, and memory stays bounded per block.
+``A = exp(j*phi*t_0) * sum_a exp(j*phi*a*B) * sum_b counts[a, b]*exp(j*phi*b)``
+with ``phi = pi*u/q``. The phases ``exp(j*phi*b)`` for ``b < B`` and
+``exp(j*phi*a*B)`` for ``a <= max(a)`` are running products of one complex
+exponential each, and the inner sums are one real matrix product per block of
+angles, so each angle costs two complex exponentials and about
+``B + max(a)`` complex products instead of N complex exponentials, and memory
+stays bounded per block. When the split saves nothing (``B = 1``) the N
+distinct ticks are summed directly, one exponential each.
 """
 
 import math
@@ -66,6 +70,24 @@ def _check_angle(name: str, value: float) -> float:
     return value
 
 
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """(count, len(w)) array of ``w**k`` for k < count, by running products.
+
+    Each pass multiplies the powers known so far by the next power-of-two
+    power of w, so the rounding error of ``w**k`` grows with k (about
+    k*eps) as in a step-by-step product, in about log2(count) passes.
+    """
+    out = np.empty((count, len(w)), dtype=complex)
+    out[0] = 1.0
+    known = 1
+    while known < count:
+        m = min(known, count - known)
+        np.multiply(out[:m], w, out=out[known:known + m])
+        known += m
+        w = w * w
+    return out
+
+
 def array_factor(g: ArrayGeometry, theta, theta_s: float = 0.0):
     """Complex array factor at angle(s) theta for steering angle theta_s.
 
@@ -96,20 +118,25 @@ def array_factor(g: ArrayGeometry, theta, theta_s: float = 0.0):
     if step + len(cols) >= len(t):
         # the split saves nothing: sum over the distinct ticks directly
         step, baby, cols, col = 1, np.zeros_like(t), t, np.arange(len(t))
-    counts = np.zeros((step, len(cols)))
-    counts[baby, col] = 1.0  # distinct ticks: each (b, a) cell holds at most one
-    baby_ticks = np.arange(step, dtype=float)
-    giant_ticks = cols.astype(float) * step
+    counts = np.zeros((len(cols), step))
+    counts[col, baby] = 1.0  # distinct ticks: each (a, b) cell holds at most one
     phi = np.pi * (np.sin(th.ravel()) - math.sin(theta_s)) / denom
     out = np.empty(phi.shape, dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // (step + len(cols)))
     for lo in range(0, len(phi), rows):
         p = phi[lo:lo + rows]
-        b = np.multiply.outer(p, baby_ticks)
-        low = 1j * (np.sin(b) @ counts)
-        low += np.cos(b) @ counts
-        giant_phase = np.exp(1j * np.multiply.outer(p, giant_ticks))
-        out[lo:lo + rows] = np.einsum("ij,ij->i", giant_phase, low)
+        if step == 1:
+            # a running product over the whole span would drift: one exponential
+            # per tick, summed by einsum against the column of ones in counts
+            # (the pinned output bytes depend on this summation order)
+            giant_phase = np.exp(1j * np.multiply.outer(p, cols.astype(float)))
+            out[lo:lo + rows] = np.einsum("ij,j->i", giant_phase, counts[:, 0])
+            continue
+        # (a, angle) sums over b of exp(j*phi*b): the real product of counts
+        # with the interleaved real and imaginary parts of the baby steps
+        low = (counts @ _powers(np.exp(1j * p), step).view(float)).view(complex)
+        giant_phase = _powers(np.exp(1j * step * p), int(cols[-1]) + 1)[cols]
+        out[lo:lo + rows] = np.einsum("ij,ij->j", giant_phase, low)
     out *= np.exp(1j * phi * float(ticks[0]))
     out = out.reshape(th.shape)
     if np.isscalar(theta) or th.ndim == 0:

@@ -10,6 +10,7 @@ at a fixed `OPENBLAS_NUM_THREADS`, and the golden-bytes tests use 1.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -105,7 +106,12 @@ def cmd_fig2(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process.
+
+    The parser is shared by every call, so callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="fdarray",
         description=(

@@ -252,9 +252,9 @@ def validate(tx, rx=None) -> ValidationReport:
     """Check a layout (or a raw tx/rx position pair) for structural problems.
 
     Colocated Tx/Rx positions are reported as errors since they make the
-    channel model singular; duplicate positions within one side and empty
-    sides are also errors (they cannot form geometries); everything else
-    is informational.
+    channel model singular; duplicate positions within one side, positions
+    that are not numbers and empty sides are also errors (they cannot form
+    geometries); everything else is informational.
 
     Parameters
     ----------
@@ -265,21 +265,36 @@ def validate(tx, rx=None) -> ValidationReport:
     Returns
     -------
     ValidationReport
+
+    Raises
+    ------
+    TypeError
+        When ``rx`` is omitted and ``tx`` is not a FullDuplexLayout.
     """
     if rx is None:
-        layout = tx
-        tx_pos = list(layout.tx.positions)
-        rx_pos = list(layout.rx.positions)
-    else:
-        tx_pos = [_as_fraction(p) for p in (tx.positions if isinstance(tx, ArrayGeometry) else tx)]
-        rx_pos = [_as_fraction(p) for p in (rx.positions if isinstance(rx, ArrayGeometry) else rx)]
+        if not isinstance(tx, FullDuplexLayout):
+            raise TypeError(
+                f"validate takes a FullDuplexLayout alone or tx and rx positions, got {type(tx).__name__} alone"
+            )
+        tx, rx = tx.tx, tx.rx
 
     errors = []
     notes = []
-    for name, pos in (("tx", tx_pos), ("rx", rx_pos)):
-        if not pos:
+    sides = []
+    for name, side in (("tx", tx), ("rx", rx)):
+        values = list(side.positions if isinstance(side, ArrayGeometry) else side)
+        if not values:
             errors.append(f"{name} side has no antennas")
-            continue
+        pos = []
+        for value in values:
+            try:
+                pos.append(_as_fraction(value))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                errors.append(f"{name} position {value!r} is not a number: {exc}")
+        sides.append((name, pos))
+    (_, tx_pos), (_, rx_pos) = sides
+
+    for name, pos in sides:
         seen, dups = set(), set()
         for p in pos:
             if p in seen:

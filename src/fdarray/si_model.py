@@ -216,13 +216,15 @@ def _parse_cell(cell: str) -> complex:
 def write_matrix_csv(matrix, path) -> None:
     """Write a matrix as CSV: plain values when real, 'a+bi' cells otherwise."""
     arr = as_matrix(matrix)
-    is_real = not np.iscomplexobj(arr) or not np.any(arr.imag != 0)
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real
+    if np.iscomplexobj(arr):
+        cell = _complex_cell
+    else:
+        arr, cell = arr.astype(float, copy=False), repr
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in arr:
-            if is_real:
-                fh.write(",".join(_fmt(v.real if np.iscomplexobj(arr) else v) for v in row))
-            else:
-                fh.write(",".join(_complex_cell(complex(v)) for v in row))
+            fh.write(",".join(map(cell, row.tolist())))
             fh.write("\n")
 
 

@@ -43,7 +43,9 @@ def _as_matrix(h) -> np.ndarray:
     """Validated 2-D float64 or complex128 array of a matrix-like.
 
     Boolean, integer and float inputs become float64, anything else
-    complex128, so a real input never passes through complex.
+    complex128, and a complex matrix whose entries are all exactly real (as
+    on every integer-grid layout) becomes its float64 real part, so such a
+    matrix is decomposed in real arithmetic.
 
     Raises
     ------
@@ -56,11 +58,16 @@ def _as_matrix(h) -> np.ndarray:
         raise ValueError("cannot decompose an empty matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real
     return arr
 
 
 def svd_spectrum(h) -> SingularSpectrum:
     """Full singular spectrum of a matrix.
+
+    A matrix whose entries are all exactly real, as on every integer-grid
+    layout, is factored in real arithmetic.
 
     Parameters
     ----------
@@ -71,7 +78,7 @@ def svd_spectrum(h) -> SingularSpectrum:
     ValueError
         On an empty matrix or non-finite entries.
     """
-    arr = _as_matrix(h).astype(complex, copy=False)
+    arr = _as_matrix(h)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     recon_error = float(np.max(np.abs(arr - (u * s) @ vh)))
     sigmas = np.asarray(s, dtype=float)
@@ -95,10 +102,7 @@ def spectral_norm(h) -> float:
     ValueError
         On an empty matrix or non-finite entries.
     """
-    arr = _as_matrix(h)
-    if np.iscomplexobj(arr) and not arr.imag.any():
-        arr = arr.real
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    return float(np.linalg.svd(_as_matrix(h), compute_uv=False)[0])
 
 
 def effective_rank(spec: SingularSpectrum, eps: float) -> int:

@@ -83,3 +83,42 @@ def direct_array_factor(positions, thetas, theta_s):
     x = np.array([float(p) for p in positions], dtype=float)
     u = np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)
     return np.exp(1j * np.pi * np.multiply.outer(u, x)).sum(axis=-1)
+
+
+def sincos_array_factor(positions, thetas, theta_s, block_entries=2**18):
+    """The array factor by a baby-step/giant-step split with sine/cosine baby steps.
+
+    Positions (exact rationals) become integer ticks t_n over their common
+    denominator q, re-centred on the first one and split as
+    t_n - t_0 = a_n*B + b_n with B = ceil(sqrt(span)). Per block of angles,
+    sin and cos of phi*b for every b < B are multiplied by the 0/1 (b, a)
+    occupancy matrix, and the result is summed against exp(j*phi*a*B), with
+    phi = pi*(sin(theta) - sin(theta_s))/q. When B + #distinct(a) >= N the
+    ticks are summed directly (B = 1).
+    """
+    q = math.lcm(*(p.denominator for p in positions))
+    ticks = np.array([p.numerator * (q // p.denominator) for p in positions], dtype=np.int64)
+    th = np.asarray(thetas, dtype=float)
+    t = ticks - ticks[0]
+    span = int(t[-1])
+    step = math.isqrt(span - 1) + 1 if span else 1
+    giant, baby = np.divmod(t, step)
+    cols, col = np.unique(giant, return_inverse=True)
+    if step + len(cols) >= len(t):
+        step, baby, cols, col = 1, np.zeros_like(t), t, np.arange(len(t))
+    counts = np.zeros((step, len(cols)))
+    counts[baby, col] = 1.0
+    baby_ticks = np.arange(step, dtype=float)
+    giant_ticks = cols.astype(float) * step
+    phi = np.pi * (np.sin(th.ravel()) - math.sin(theta_s)) / q
+    out = np.empty(phi.shape, dtype=complex)
+    rows = max(1, block_entries // (step + len(cols)))
+    for lo in range(0, len(phi), rows):
+        p = phi[lo:lo + rows]
+        b = np.multiply.outer(p, baby_ticks)
+        low = 1j * (np.sin(b) @ counts)
+        low += np.cos(b) @ counts
+        giant_phase = np.exp(1j * np.multiply.outer(p, giant_ticks))
+        out[lo:lo + rows] = np.einsum("ij,ij->i", giant_phase, low)
+    out *= np.exp(1j * phi * float(ticks[0]))
+    return out.reshape(th.shape)

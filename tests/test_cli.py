@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdarray.cli import main
+from fdarray.cli import build_parser, main
 from fdarray.geometry import FAMILIES, build_family_layout, generate_nested, load_layout, save_layout
 from fdarray.si_model import load_matrix_csv, load_matrix_json, si_matrix
 from fdarray.spectral import svd_spectrum
@@ -240,3 +240,15 @@ def test_bad_rho_exits_2(tmp_path):
     geo = tmp_path / "g.json"
     write_layout_json(geo, tx=[1], rx=[0])
     assert run("si", "--geometry", str(geo), "--rho", "-1", "-o", str(tmp_path / "m.csv")) == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_parses():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(
+        ["beampattern", "--geometry", "g.json", "--normalized", "--theta-s", "0.5", "-o", "a.csv"]
+    )
+    second = build_parser().parse_args(["beampattern", "--geometry", "g.json", "-o", "b.csv"])
+    assert first.normalized and first.theta_s == 0.5 and first.output == "a.csv"
+    assert not second.normalized and second.theta_s == 0.0 and second.output == "b.csv"
+    third = build_parser().parse_args(["coarray", "--geometry", "g.json", "-o", "c.csv"])
+    assert third.command == "coarray" and not hasattr(third, "normalized")

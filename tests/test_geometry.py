@@ -162,6 +162,25 @@ def test_validate_reports():
     assert any("no antennas" in e for e in empty.errors)
 
 
+def test_validate_rejects_a_lone_position_list():
+    for lone in ([0, 1], ArrayGeometry((0, 1)), "01"):
+        with pytest.raises(TypeError, match="FullDuplexLayout alone or tx and rx positions"):
+            validate(lone)
+
+
+def test_validate_reports_unparseable_positions():
+    report = validate([0, "x"], [1])
+    assert report.errors == ("tx position 'x' is not a number: Invalid literal for Fraction: 'x'",)
+    assert not report.notes
+    report = validate([0], [None, "1/0", float("nan"), float("inf"), "2"])
+    assert len(report.errors) == 4
+    assert all(e.startswith("rx position ") and "is not a number" in e for e in report.errors)
+    # the parseable positions are still checked
+    report = validate(["x", 1, 1], [1])
+    assert any("duplicate tx" in e for e in report.errors)
+    assert any("colocated" in e for e in report.errors)
+
+
 def test_layout_json_round_trip(tmp_path):
     lay = generate_nested(6, 5, 3)
     path = tmp_path / "nested.json"

@@ -11,10 +11,19 @@ from the full U, S, V* factorisation in complex arithmetic. It now computes
 singular values only, in real arithmetic on integer-grid channels, and σ₁
 moves in its last digits (at most 11 ulp over the 120 pinned rows). Those
 digests are therefore checked against a reference rendering: the CLI's
-sweep rows with every σ₁ taken from `svd_spectrum`, which shows that layout
-building, synthesis and the CSV format are byte-unchanged. ``GOLDEN_SWEEP``
-pins the CLI ``sweep`` bytes of the σ₁-only code, and every CLI σ₁ must lie
-within a relative 1e-12 of the full-SVD σ₁.
+sweep rows with every σ₁ taken from the full complex SVD
+(`complex_svd_spectrum`), which shows that layout building, synthesis and
+the CSV format are byte-unchanged. ``GOLDEN_SWEEP`` pins the CLI ``sweep``
+bytes of the σ₁-only code, and every CLI σ₁ must lie within a relative
+1e-12 of the full-SVD σ₁.
+
+The ``svd`` digests of the layouts and the ``fig2`` spectra were likewise
+recorded when `svd_spectrum` factored every matrix in complex arithmetic.
+It now factors exactly real matrices (every integer-grid channel) in real
+arithmetic, and their singular values move in the last digits. Those
+digests are checked against reference renderings whose spectra come from
+`complex_svd_spectrum`; `tests/test_spectral.py` holds the real path's
+singular values to 1e-12·σ₁ of the complex ones.
 
 The ``GOLDEN_CURVES`` digests (``beampattern`` CSVs and the ``fig2``
 bundle) were recorded when `array_factor` summed one complex exponential
@@ -25,11 +34,20 @@ rendering: the same curves with magnitudes from
 `oracles.direct_array_factor`, the old formula, which shows that the angle
 grid, the dB conversion, the CSV format and the rest of the ``fig2`` bundle
 are byte-unchanged. ``GOLDEN_CURVES_TICKS`` pins the CLI bytes of the
-tick-based code; `tests/test_beampattern.py` holds its magnitudes to 1e-11
-per element of the re-centred direct sum.
+tick-based code whose baby steps were sines and cosines of every b < B.
+`array_factor` now builds its phases by running products, and the gains of
+every layout with B > 1 move in their last digits. Those digests are checked
+against a reference rendering with magnitudes from
+`oracles.sincos_array_factor`, a copy of the sine/cosine split.
+`tests/test_beampattern.py` holds the magnitudes to 1e-11 per element of the
+re-centred direct sum.
 
-The ``si`` and ``coarray`` digests and the direct-sum curve renderings
-involve no BLAS or LAPACK call and hold everywhere. The bytes of ``svd`` and
+``GOLDEN_MOVED`` pins the CLI bytes of exactly the files that the real-path
+`svd_spectrum` and the running-product phases moved; every other file keeps
+its pin in ``GOLDEN``, ``GOLDEN_CURVES_TICKS`` or ``GOLDEN_SWEEP``.
+
+The ``si`` and ``coarray`` digests and the direct-sum curves involve no
+BLAS or LAPACK call and hold everywhere. The bytes of ``svd`` and
 ``sweep`` outputs, the ``fig2`` spectra and the tick-based curves also
 depend on the BLAS/LAPACK build, its CPU kernel and the BLAS thread count:
 the commands run in a child interpreter with one BLAS thread, and those
@@ -56,15 +74,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import direct_array_factor
+from oracles import direct_array_factor, sincos_array_factor
 
 import fdarray
 from fdarray.beampattern import DB_FLOOR, BeampatternCurve, write_curve_csv
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep, write_sweep_csv
 from fdarray.geometry import FullDuplexLayout, generate_nested, load_layout, save_layout
-from fdarray.si_model import si_matrix
-from fdarray.spectral import svd_spectrum
+from fdarray.si_model import as_matrix, load_matrix_csv, load_matrix_json, si_matrix
+from fdarray.spectral import svd_spectrum, write_spectrum_csv
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 # LAPACK-dependent pins are checked only with the numpy they were recorded with
@@ -75,8 +93,13 @@ SWEEP_RHO = "0.61"
 SWEEP_NS = range(10, 201, 10)
 # prefix of the case that renders a sweep with full-SVD sigma1 (see the docstring)
 FULL_SVD = "full-svd:"
-# prefix of the cases that render beampatterns with the direct sum (see the docstring)
+# prefix of the cases that render layout spectra with the complex SVD
+COMPLEX_SVD = "complex-svd:"
+# prefixes of the cases that render beampatterns with an oracle array factor
+# (and fig2 spectra with the complex SVD); see the docstring
 DIRECT = "direct:"
+SINCOS = "sincos:"
+CURVE_ORACLES = {DIRECT: direct_array_factor, SINCOS: sincos_array_factor}
 BEAMPATTERN = "beampattern:"
 FIG2 = "fig2"
 FIG2_LAPACK_FILES = tuple(f"spectrum_{fam}.csv" for fam in ("partitioned", "interleaved", "nested"))
@@ -133,16 +156,32 @@ def _run(argv) -> None:
     assert code == 0, f"exit {code} for {argv}"
 
 
-def layout_digests(name, workdir) -> dict:
-    """Digests of the si (CSV, JSON), svd and coarray outputs of one layout."""
+def complex_svd_spectrum(matrix):
+    """`svd_spectrum` with the singular values of the full U, S, V*
+    factorisation in complex arithmetic, even of an exactly real matrix."""
+    sigmas = np.linalg.svd(as_matrix(matrix, complex), full_matrices=False)[1]
+    return dataclasses.replace(svd_spectrum(matrix), sigmas=sigmas)
+
+
+def layout_digests(name, workdir, complex_svd=False) -> dict:
+    """Digests of the si (CSV, JSON), svd and coarray outputs of one layout;
+    with ``complex_svd`` the svd outputs are `complex_svd_spectrum` renderings."""
     d = Path(workdir)
     geo = d / "geometry.json"
     LAYOUTS[name](geo)
     _run(["si", "--geometry", geo, "--rho", RHO, "--format", "csv", "-o", d / "si.csv"])
     _run(["si", "--geometry", geo, "--rho", RHO, "--format", "json", "-o", d / "si.json"])
-    _run(["svd", "--geometry", geo, "--rho", RHO, "-o", d / "svd_geometry.csv"])
-    _run(["svd", "--matrix", d / "si.csv", "-o", d / "svd_matrix_csv.csv"])
-    _run(["svd", "--matrix", d / "si.json", "-o", d / "svd_matrix_json.csv"])
+    if complex_svd:
+        for f, matrix in (
+            ("svd_geometry.csv", si_matrix(load_layout(geo), float(RHO))),
+            ("svd_matrix_csv.csv", load_matrix_csv(d / "si.csv")),
+            ("svd_matrix_json.csv", load_matrix_json(d / "si.json")),
+        ):
+            write_spectrum_csv(complex_svd_spectrum(matrix), d / f)
+    else:
+        _run(["svd", "--geometry", geo, "--rho", RHO, "-o", d / "svd_geometry.csv"])
+        _run(["svd", "--matrix", d / "si.csv", "-o", d / "svd_matrix_csv.csv"])
+        _run(["svd", "--matrix", d / "si.json", "-o", d / "svd_matrix_json.csv"])
     _run(["coarray", "--geometry", geo, "-o", d / "coarray.csv"])
     files = ("si.csv", "si.json", "svd_geometry.csv", "svd_matrix_csv.csv", "svd_matrix_json.csv", "coarray.csv")
     return {f: _sha(d / f) for f in files}
@@ -161,11 +200,11 @@ def cli_sweep(family, rule):
 
 
 def with_full_svd_sigma1(result):
-    """A sweep result with each row's σ₁ taken from the full SVD of its channel."""
+    """A sweep result with each row's σ₁ taken from the full complex SVD of its channel."""
     rows = []
     for row in result.rows:
         layout = build_family_layout(result.family, row.n, row.l_target)[0]
-        sigma1 = float(svd_spectrum(si_matrix(layout, result.rho)).sigmas[0])
+        sigma1 = float(complex_svd_spectrum(si_matrix(layout, result.rho)).sigmas[0])
         rows.append(dataclasses.replace(row, spectral_norm=sigma1))
     return dataclasses.replace(result, rows=tuple(rows))
 
@@ -176,10 +215,10 @@ def full_svd_sweep_digest(family, rule, workdir) -> str:
     return _sha(out)
 
 
-def direct_curve(geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
-    """`beampattern`'s curve with magnitudes from the dense direct sum."""
+def oracle_curve(factor, geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
+    """`beampattern`'s curve with magnitudes from the oracle array factor ``factor``."""
     thetas = np.linspace(-np.pi / 2, np.pi / 2, grid_size)
-    mag = np.abs(direct_array_factor(geometry.positions, thetas, theta_s))
+    mag = np.abs(factor(geometry.positions, thetas, theta_s))
     if normalized:
         peak = mag.max()
         if peak > 0:
@@ -190,52 +229,58 @@ def direct_curve(geometry, theta_s, normalized, grid_size=4096) -> BeampatternCu
     return BeampatternCurve(thetas=thetas, gains_db=gains, steering=float(theta_s), normalized=normalized)
 
 
-def beampattern_digests(name, workdir, direct) -> dict:
+def beampattern_digests(name, workdir, factor=None) -> dict:
     """Digests of the CLI `beampattern` runs of one layout, or of their
-    direct-sum renderings."""
+    renderings with the oracle array factor ``factor``."""
     d = Path(workdir)
     geo = d / "geometry.json"
     LAYOUTS[name](geo)
     layout = load_layout(geo)
     for f, (side, theta_s, normalized) in BP_RUNS.items():
-        if direct:
-            write_curve_csv(direct_curve(getattr(layout, side), theta_s, normalized), d / f)
+        if factor:
+            write_curve_csv(oracle_curve(factor, getattr(layout, side), theta_s, normalized), d / f)
         else:
             flags = ["--normalized"] if normalized else []
             _run(["beampattern", "--geometry", geo, "--side", side, "--theta-s", theta_s, *flags, "-o", d / f])
     return {f: _sha(d / f) for f in BP_RUNS}
 
 
-def fig2_digests(workdir, direct) -> dict:
-    """Digests of the CLI `fig2` bundle; with ``direct`` its beampattern
-    CSVs are replaced by direct-sum renderings."""
+def fig2_digests(workdir, factor=None) -> dict:
+    """Digests of the CLI `fig2` bundle; with an oracle array factor
+    ``factor`` its beampattern CSVs are replaced by renderings with it and
+    its spectra by `complex_svd_spectrum` renderings."""
     d = Path(workdir) / "bundle"
     with contextlib.redirect_stdout(io.StringIO()):  # fig2 lists the files it wrote
         _run(["fig2", "-o", d])
-    if direct:
-        for fam, layout in fig2_study().layouts.items():
-            write_curve_csv(direct_curve(layout.rx, 0.0, False), d / f"beampattern_{fam}.csv")
+    if factor:
+        study = fig2_study()
+        for fam, layout in study.layouts.items():
+            write_curve_csv(oracle_curve(factor, layout.rx, 0.0, False), d / f"beampattern_{fam}.csv")
+            write_spectrum_csv(complex_svd_spectrum(si_matrix(layout, study.rho)), d / f"spectrum_{fam}.csv")
     return {p.name: _sha(p) for p in sorted(d.iterdir())}
 
 
 def digests(cases) -> dict:
-    """Digests of the named cases: layout names, "family/rule" sweeps and
-    their full-SVD renderings "full-svd:family/rule", "beampattern:<layout>"
-    and "fig2", and their direct-sum renderings "direct:beampattern:<layout>"
-    and "direct:fig2"."""
+    """Digests of the named cases: layout names and their complex-SVD
+    renderings "complex-svd:<layout>", "family/rule" sweeps and their
+    full-SVD renderings "full-svd:family/rule", "beampattern:<layout>" and
+    "fig2", and their oracle renderings "direct:..." and "sincos:..."."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
             sub = Path(tmp) / case.replace("/", "_").replace(":", "_")
             sub.mkdir()
-            direct = case.startswith(DIRECT)
-            base = case[len(DIRECT):] if direct else case
+            prefix = next((pre for pre in CURVE_ORACLES if case.startswith(pre)), "")
+            factor = CURVE_ORACLES.get(prefix)
+            base = case[len(prefix):]
             if base == FIG2:
-                out[case] = fig2_digests(sub, direct)
+                out[case] = fig2_digests(sub, factor)
             elif base.startswith(BEAMPATTERN):
-                out[case] = beampattern_digests(base[len(BEAMPATTERN):], sub, direct)
+                out[case] = beampattern_digests(base[len(BEAMPATTERN):], sub, factor)
             elif case in LAYOUTS:
                 out[case] = layout_digests(case, sub)
+            elif case.startswith(COMPLEX_SVD):
+                out[case] = layout_digests(case[len(COMPLEX_SVD):], sub, complex_svd=True)
             elif case.startswith(FULL_SVD):
                 out[case] = full_svd_sweep_digest(*case[len(FULL_SVD):].split("/"), sub)
             else:
@@ -376,9 +421,47 @@ GOLDEN_CURVES_TICKS = {
 }
 
 
+# CLI bytes of the files that the real-path `svd_spectrum` and the
+# running-product `array_factor` moved (see the docstring).
+GOLDEN_MOVED = {
+    "nested_integer": {
+        "svd_geometry.csv": "e569ea71ceb3e75816d078e6f6f9b5000ec62df2b282931566173fe4b3d7dea9",
+        "svd_matrix_csv.csv": "e569ea71ceb3e75816d078e6f6f9b5000ec62df2b282931566173fe4b3d7dea9",
+        "svd_matrix_json.csv": "e569ea71ceb3e75816d078e6f6f9b5000ec62df2b282931566173fe4b3d7dea9",
+    },
+    "beampattern:nested_integer": {
+        "bp_rx.csv": "52a892bc455cf77a4b5b576f67c13105d71dda1a37c54577c213c752abfde6b7",
+        "bp_rx_steered.csv": "0bcd2de19ac86044f40054abff693eb109b8ebcf3d2ec8842dd8ce0ba0101a09",
+        "bp_tx.csv": "fa955ad3b86179d5e906cba3f6f724ad12a0277e5483114d89244db93f23805a",
+        "bp_tx_normalized_steered.csv": "405a879647d82ab1b9d079bc252c35e7b926a835096e0a243383cb5a0a7a484d",
+    },
+    "beampattern:nested_thirds_exact": {
+        "bp_rx.csv": "8ca90e998b0b2e22a8e928be838814320aa1b850ebe2d3c17018c4688e78ac73",
+        "bp_rx_steered.csv": "a4a64e5f7610d8d5c7f17f27a5107df603c63123ba4ba0d9fb8529051806e71c",
+        "bp_tx.csv": "4e2a8c526da53f301295e34fcead9bdfda50c4fbaad2fb5c5bd5e3cd208eb34d",
+        "bp_tx_normalized_steered.csv": "f180eb412234872377b6abdbe9b494e8cf7bdbfa3767359b07ac8cc25f434509",
+    },
+    "fig2": {
+        "beampattern_partitioned.csv": "17ad8d7edfaba034c4c9aa03f02af564954a8c98988cfc45374a48f58e0fa993",
+        "spectrum_interleaved.csv": "b02899475656b208992cee806a59da45fbc59d62f6eee1b05e89030dae3b255f",
+        "spectrum_nested.csv": "f128cb0edda163309f1f960201b990499020de9aeae97854cbacd45c3ad54788",
+        "spectrum_partitioned.csv": "3bafda1c27041b699863ff7c30364bcf2d5e504659c3186baccb157fbe049f22",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
-    got, want = child_digests(name), GOLDEN[name]
+    got, want = child_digests(name), {**GOLDEN[name], **GOLDEN_MOVED.get(name, {})}
+    if not LAPACK_PINNED:
+        got, want = ({k: v for k, v in d.items() if k not in LAPACK_FILES} for d in (got, want))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_layout_complex_svd_rendering_matches_golden_bytes(name):
+    """The complex-SVD rendering reproduces the bytes the layout pins recorded."""
+    got, want = child_digests(COMPLEX_SVD + name), GOLDEN[name]
     if not LAPACK_PINNED:
         got, want = ({k: v for k, v in d.items() if k not in LAPACK_FILES} for d in (got, want))
     assert got == want
@@ -408,8 +491,15 @@ def test_curve_direct_rendering_matches_golden_bytes(case):
 
 @pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
 @pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
+def test_curve_sincos_rendering_matches_golden_bytes(case):
+    """The sine/cosine-split rendering reproduces the bytes the tick-based curve pins recorded."""
+    assert child_digests(SINCOS + case) == GOLDEN_CURVES_TICKS[case]
+
+
+@pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
 def test_curve_cli_output_matches_golden_bytes(case):
-    assert child_digests(case) == GOLDEN_CURVES_TICKS[case]
+    assert child_digests(case) == {**GOLDEN_CURVES_TICKS[case], **GOLDEN_MOVED.get(case, {})}
 
 
 def test_sweep_sigma1_agrees_with_full_svd():
@@ -423,8 +513,9 @@ def test_sweep_sigma1_agrees_with_full_svd():
 
 
 if __name__ == "__main__":
+    layouts = [f"{pre}{name}" for pre in ("", COMPLEX_SVD) for name in sorted(LAYOUTS)]
     sweeps = [f"{pre}{fam}/{rule}" for pre in ("", FULL_SVD) for fam, rule in SWEEPS]
-    curves = [f"{pre}{case}" for pre in ("", DIRECT) for case in [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]]
-    cases = sys.argv[1:] or sorted(LAYOUTS) + sweeps + curves
+    curves = [f"{pre}{case}" for pre in ("", DIRECT, SINCOS) for case in [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]]
+    cases = sys.argv[1:] or layouts + sweeps + curves
     json.dump(digests(cases), sys.stdout, indent=4)
     print()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -226,6 +227,32 @@ def test_matrix_csv_round_trip_real(tmp_path):
     loaded = load_matrix_csv(path)
     assert loaded.dtype == float
     assert np.array_equal(loaded, ch.h.real)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([[1, -2], [3, 40]]),
+        np.array([[True, False]]),
+        np.array([[0.1, 2.5], [-1e-300, 7.0]], dtype=np.float32),
+        np.array([[1.0 + 0j, 2.0 - 0.0j]]),
+        np.array([[0.1 + 0.2j, -0.0 - 1j]], dtype=np.complex64),
+    ],
+    ids=["int", "bool", "float32", "zero-imaginary", "complex64"],
+)
+def test_matrix_csv_cells_of_every_dtype(tmp_path, arr):
+    """Each cell is the repr of its float64 value, or "a+bi" when any entry is complex."""
+    path = tmp_path / "m.csv"
+    write_matrix_csv(arr, path)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        def cell(z):
+            sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+            return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
+    else:
+        def cell(x):
+            return repr(float(x.real))
+    want = "".join(",".join(cell(v) for v in row) + "\n" for row in arr.tolist())
+    assert path.read_text() == want
 
 
 def test_matrix_csv_exponent_cells(tmp_path):

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from oracles import singular_values_2x2, singular_values_3x3
 from test_properties import rational_layouts
 
+from fractions import Fraction
+
 from fdarray.cli import main as cli_main
-from fdarray.geometry import generate_interleaved, generate_partitioned
+from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.geometry import FullDuplexLayout, generate_interleaved, generate_partitioned
 from fdarray.si_model import si_matrix
 from fdarray.spectral import (
     effective_rank,
@@ -216,3 +219,53 @@ def test_spectral_norm_matches_gram_eigenvalue_oracle(layout, rho):
     oracle = math.sqrt(float(np.linalg.eigvalsh(channel.h.conj().T @ channel.h)[-1]))
     got = spectral_norm(channel)
     assert abs(got - oracle) <= 1e-12 * oracle
+
+
+def spectrum_channels():
+    """Integer-grid channels of the three families under both rules, and
+    complex ones: the 1/3-scaled nested layouts and phase-rotated copies."""
+    cases = []
+    for fam in ("partitioned", "interleaved", "nested"):
+        for rule in ("linear", "quadratic"):
+            for n in (10, 60, 150):
+                layout = build_family_layout(fam, n, ApertureRule(kind=rule).target(n))[0]
+                cases.append(pytest.param(si_matrix(layout, 0.61).h, id=f"{fam}-{rule}-{n}"))
+    for n in (10, 60, 150):
+        layout = build_family_layout("nested", n, ApertureRule(kind="linear").target(n))[0]
+        thirds = FullDuplexLayout(tx=layout.tx.scaled(Fraction(1, 3)), rx=layout.rx.scaled(Fraction(1, 3)))
+        cases.append(pytest.param(si_matrix(thirds, 0.61).h, id=f"nested_thirds-{n}"))
+        cases.append(pytest.param(si_matrix(layout, 0.61).h * np.exp(0.3j), id=f"nested-rotated-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("h", spectrum_channels())
+def test_svd_spectrum_matches_complex_factorisation(h):
+    want = np.linalg.svd(h, full_matrices=False, compute_uv=False)
+    spec = svd_spectrum(h)
+    assert np.max(np.abs(spec.sigmas - want)) <= 1e-12 * want[0]
+    assert abs(spec.frob - np.linalg.norm(h)) <= 1e-12 * spec.frob
+    assert spec.recon_error <= 1e-12 * spec.sigmas[0]
+
+
+def test_exactly_real_channels_are_factored_in_real_arithmetic(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    layout = generate_interleaved(7, 3)
+    real = si_matrix(layout, 1.0).h
+    assert np.iscomplexobj(real) and not real.imag.any()
+    for h in (real, real * np.exp(0.3j)):
+        seen.clear()
+        spec, sigma1 = svd_spectrum(h), spectral_norm(h)
+        want = np.float64 if h is real else np.complex128
+        assert seen == [want, want]
+        assert abs(sigma1 - spec.sigmas[0]) <= 1e-12 * sigma1
+    # the same values whatever the container of an exactly real matrix
+    want = svd_spectrum(real.real.copy()).sigmas
+    for same in (real, real.real.tolist()):
+        assert np.array_equal(svd_spectrum(same).sigmas, want)
