@@ -14,7 +14,6 @@ from .beampattern import (
     beampattern,
     grating_lobes,
     main_lobe_width,
-    write_curve_csv,
 )
 from .coarray import (
     CoarrayScalingTable,
@@ -22,8 +21,6 @@ from .coarray import (
     coarray_scaling,
     loglog_slope,
     sum_coarray,
-    write_coarray_csv,
-    write_scaling_csv,
 )
 from .experiments import (
     ApertureRule,
@@ -33,7 +30,21 @@ from .experiments import (
     build_family_layout,
     fig2_study,
     scaling_sweep,
+)
+from .files import (
+    layout_from_dict,
+    layout_to_dict,
+    load_layout,
+    load_matrix_csv,
+    load_matrix_json,
+    save_layout,
+    write_coarray_csv,
+    write_curve_csv,
     write_fig2_bundle,
+    write_matrix_csv,
+    write_matrix_json,
+    write_scaling_csv,
+    write_spectrum_csv,
     write_sweep_csv,
 )
 from .geometry import (
@@ -45,10 +56,6 @@ from .geometry import (
     generate_interleaved,
     generate_nested,
     generate_partitioned,
-    layout_from_dict,
-    layout_to_dict,
-    load_layout,
-    save_layout,
     validate,
 )
 from .si_model import (
@@ -56,13 +63,9 @@ from .si_model import (
     SIChannelMatrix,
     distance_matrix,
     is_toeplitz,
-    load_matrix_csv,
-    load_matrix_json,
     si_leakage,
     si_matrix,
     sign_pattern,
-    write_matrix_csv,
-    write_matrix_json,
 )
 from .spectral import (
     SingularSpectrum,
@@ -71,7 +74,6 @@ from .spectral import (
     partitioned_rank1_gap,
     spectral_norm,
     svd_spectrum,
-    write_spectrum_csv,
 )
 
 __version__ = "0.1.0"

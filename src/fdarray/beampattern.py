@@ -288,11 +288,3 @@ def grating_lobes(curve: BeampatternCurve, tol_db: float = 0.5) -> list[float]:
             continue
         lobes.append(angle)
     return lobes
-
-
-def write_curve_csv(curve: BeampatternCurve, path) -> None:
-    """Write (theta, B) rows with B the gain in dB."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta,B\n")
-        for theta, gain in zip(curve.thetas, curve.gains_db):
-            fh.write(f"{float(theta)!r},{float(gain)!r}\n")

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import coarray as coarray_mod
-from . import experiments, si_model, spectral
-from .beampattern import beampattern, write_curve_csv
-from .geometry import FAMILIES, ColocatedAntennaError, FullDuplexLayout, ascii_sketch, load_layout, save_layout
+from . import experiments, files, si_model, spectral
+from .beampattern import beampattern
+from .geometry import FAMILIES, ColocatedAntennaError, FullDuplexLayout, ascii_sketch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,18 +39,18 @@ def cmd_geometry(args) -> int:
     layout = _build_layout_from_args(args)
     if args.label:
         layout = dataclasses.replace(layout, label=args.label)
-    save_layout(layout, args.output)
+    files.save_layout(layout, args.output)
     print(ascii_sketch(layout))
     return EXIT_OK
 
 
 def cmd_si(args) -> int:
-    layout = load_layout(args.geometry)
+    layout = files.load_layout(args.geometry)
     channel = si_model.si_matrix(layout, args.rho)
     if args.format == "json":
-        si_model.write_matrix_json(channel, args.output)
+        files.write_matrix_json(channel, args.output)
     else:
-        si_model.write_matrix_csv(channel, args.output)
+        files.write_matrix_csv(channel, args.output)
     return EXIT_OK
 
 
@@ -58,19 +58,19 @@ def cmd_svd(args) -> int:
     if (args.geometry is None) == (args.matrix is None):
         raise ValueError("exactly one of --geometry or --matrix is required")
     if args.geometry is not None:
-        layout = load_layout(args.geometry)
+        layout = files.load_layout(args.geometry)
         matrix = si_model.si_matrix(layout, args.rho).h
     elif args.matrix.endswith(".json"):
-        matrix = si_model.load_matrix_json(args.matrix)
+        matrix = files.load_matrix_json(args.matrix)
     else:
-        matrix = si_model.load_matrix_csv(args.matrix)
+        matrix = files.load_matrix_csv(args.matrix)
     spec = spectral.svd_spectrum(matrix)
-    spectral.write_spectrum_csv(spec, args.output)
+    files.write_spectrum_csv(spec, args.output)
     return EXIT_OK
 
 
 def cmd_beampattern(args) -> int:
-    layout = load_layout(args.geometry)
+    layout = files.load_layout(args.geometry)
     geometry = layout.rx if args.side == "rx" else layout.tx
     curve = beampattern(
         geometry,
@@ -78,14 +78,14 @@ def cmd_beampattern(args) -> int:
         grid_size=args.grid_size,
         normalized=args.normalized,
     )
-    write_curve_csv(curve, args.output)
+    files.write_curve_csv(curve, args.output)
     return EXIT_OK
 
 
 def cmd_coarray(args) -> int:
-    layout = load_layout(args.geometry)
+    layout = files.load_layout(args.geometry)
     result = coarray_mod.sum_coarray(layout)
-    coarray_mod.write_coarray_csv(result, args.output)
+    files.write_coarray_csv(result, args.output)
     return EXIT_OK
 
 
@@ -95,13 +95,13 @@ def cmd_sweep(args) -> int:
         raise ValueError("--n-max must be >= --n-min")
     ns = range(args.n_min, args.n_max + 1, args.n_step)
     result = experiments.scaling_sweep(args.family, ns, rule, rho=args.rho)
-    experiments.write_sweep_csv(result, args.output)
+    files.write_sweep_csv(result, args.output)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
     study = experiments.fig2_study(rho=args.rho, grid_size=args.grid_size)
-    written = experiments.write_fig2_bundle(study, args.output_dir)
+    written = files.write_fig2_bundle(study, args.output_dir)
     print("\n".join(written))
     return EXIT_OK
 

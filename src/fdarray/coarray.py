@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .experiments import RULE_QUADRATIC, ApertureRule
 from .geometry import FullDuplexLayout, build_family_layout, position_ticks
 
 
@@ -90,8 +91,8 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
 
     For each N the nested family is built with the balanced split
     m1 = ceil(N/2), m2 = N - m1 and delta3 solved from the target
-    aperture (default the quadratic rule 0.26*N**2, under which the
-    contiguous length grows roughly as N**2).
+    aperture (default the quadratic `ApertureRule`, 0.26*N**2, under which
+    the contiguous length grows roughly as N**2).
 
     Parameters
     ----------
@@ -105,7 +106,7 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
     CoarrayScalingTable
     """
     if target_aperture is None:
-        target_aperture = lambda n: 0.26 * n * n
+        target_aperture = ApertureRule(kind=RULE_QUADRATIC).target
     rows = []
     for n in n_values:
         layout, params, _ = build_family_layout("nested", n, target_aperture(n))
@@ -121,23 +122,3 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
         raise ValueError("n_values must be nonempty")
     slope = loglog_slope([r.n for r in rows], [r.contiguous_len for r in rows])
     return CoarrayScalingTable(rows=tuple(rows), slope=slope)
-
-
-def _fmt_sum(value: int | Fraction) -> str:
-    return str(int(value)) if value.denominator == 1 else repr(float(value))
-
-
-def write_coarray_csv(coarray: SumCoarray, path) -> None:
-    """Write (sum, multiplicity) rows in ascending sum order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sum,multiplicity\n")
-        for s, m in zip(coarray.sums, coarray.multiplicities):
-            fh.write(f"{_fmt_sum(s)},{m}\n")
-
-
-def write_scaling_csv(table: CoarrayScalingTable, path) -> None:
-    """Write (N, contiguous_len, L) rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("N,contiguous_len,L\n")
-        for row in table.rows:
-            fh.write(f"{row.n},{row.contiguous_len},{row.aperture}\n")

@@ -8,20 +8,18 @@ its minimum) are flagged rather than dropped.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
-from .beampattern import BeampatternCurve, beampattern, write_curve_csv
+from .beampattern import BeampatternCurve, beampattern
 from .geometry import (
     FullDuplexLayout,
     build_family_layout,
     generate_interleaved,
     generate_nested,
     generate_partitioned,
-    save_layout,
 )
 from .si_model import si_matrix
-from .spectral import SingularSpectrum, spectral_norm, svd_spectrum, write_spectrum_csv
+from .spectral import SingularSpectrum, spectral_norm, svd_spectrum
 
 RULE_LINEAR = "linear"
 RULE_QUADRATIC = "quadratic"
@@ -146,36 +144,3 @@ def fig2_study(rho: float = 0.2, grid_size: int = 4096) -> Fig2Study:
         fam: svd_spectrum(si_matrix(layout, rho)) for fam, layout in layouts.items()
     }
     return Fig2Study(rho=float(rho), layouts=layouts, beampatterns=patterns, spectra=spectra)
-
-
-def _params_str(params) -> str:
-    return ";".join(f"{name}={value}" for name, value in params)
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    """Write (N, L, family, spectral_norm, params, feasible) rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("N,L,family,spectral_norm,params,feasible\n")
-        for row in result.rows:
-            fh.write(
-                f"{row.n},{row.l_actual},{row.family},{row.spectral_norm!r},"
-                f"{_params_str(row.params)},{int(row.feasible)}\n"
-            )
-
-
-def write_fig2_bundle(study: Fig2Study, directory) -> list[str]:
-    """Write per-family geometry JSON, beampattern CSV and spectrum CSV.
-
-    Returns the list of file paths written.
-    """
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for fam in study.layouts:
-        geo_path = os.path.join(directory, f"geometry_{fam}.json")
-        save_layout(study.layouts[fam], geo_path)
-        curve_path = os.path.join(directory, f"beampattern_{fam}.csv")
-        write_curve_csv(study.beampatterns[fam], curve_path)
-        spec_path = os.path.join(directory, f"spectrum_{fam}.csv")
-        write_spectrum_csv(study.spectra[fam], spec_path)
-        written += [geo_path, curve_path, spec_path]
-    return written

@@ -8,15 +8,12 @@ downstream; floating point enters only when the channel model is evaluated.
 generator, its parameters and the solver that sizes it to an aperture.
 """
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-GEOMETRY_UNITS = "half-wavelength"
 
 
 class ColocatedAntennaError(ValueError):
@@ -26,9 +23,11 @@ class ColocatedAntennaError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"antenna position must be finite, got {value!r}")
         return Fraction(float(value))
     if isinstance(value, str):
         return Fraction(value)
@@ -45,7 +44,7 @@ class ArrayGeometry:
     Parameters
     ----------
     positions : iterable of int, float, str or Fraction
-        Antenna positions. Duplicates raise ``ValueError``.
+        Finite antenna positions, not booleans. Duplicates raise ``ValueError``.
     """
 
     positions: tuple[Fraction, ...]
@@ -390,58 +389,6 @@ def build_family_layout(family: str, n: int, l_target: float):
     params = tuple(zip([p for p in spec.params if p != "n"], values))
     sizes = {"n": n} if "n" in spec.params else {}
     return spec.generate(**sizes, **dict(params)), params, not clamped
-
-
-def layout_to_dict(layout: FullDuplexLayout) -> dict:
-    """JSON-ready mapping: integer positions stay integers, others decay to float."""
-
-    def num(p: Fraction):
-        return int(p) if p.denominator == 1 else float(p)
-
-    return {
-        "label": layout.label,
-        "tx": [num(p) for p in layout.tx.positions],
-        "rx": [num(p) for p in layout.rx.positions],
-        "units": GEOMETRY_UNITS,
-    }
-
-
-def layout_from_dict(data: dict) -> FullDuplexLayout:
-    """Build a layout from its mapping form.
-
-    ``tx`` and ``rx`` must be lists. The `FullDuplexLayout` constructor
-    validates their positions: an empty side or a duplicate position
-    raises ValueError, a colocated Tx/Rx pair raises ColocatedAntennaError.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("geometry document must be a JSON object")
-    for key in ("tx", "rx"):
-        if key not in data:
-            raise ValueError(f"geometry document is missing the '{key}' field")
-        if not isinstance(data[key], list):
-            raise ValueError(f"geometry field '{key}' must be a list of positions")
-    units = data.get("units", GEOMETRY_UNITS)
-    if units != GEOMETRY_UNITS:
-        raise ValueError(f"unsupported units {units!r}; expected {GEOMETRY_UNITS!r}")
-    return FullDuplexLayout(tx=data["tx"], rx=data["rx"], label=str(data.get("label", "")))
-
-
-def save_layout(layout: FullDuplexLayout, path) -> None:
-    """Write the layout JSON document (see `layout_to_dict`)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(layout_to_dict(layout), fh, indent=2)
-        fh.write("\n")
-
-
-def load_layout(path) -> FullDuplexLayout:
-    """Load and validate a layout JSON document (see `layout_from_dict`).
-
-    Decimal position values are parsed as exact decimal fractions, so
-    ``0.5`` loads as the rational 1/2 rather than a float.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=Fraction, parse_int=Fraction)
-    return layout_from_dict(data)
 
 
 def ascii_sketch(layout: FullDuplexLayout, max_width: int = 160) -> str:

@@ -7,9 +7,7 @@ phase factor collapses to an exact sign (-1)**d, read from the tick parity,
 so integer-grid channels are exactly real with exact signs.
 """
 
-import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,84 +184,3 @@ def si_leakage(h, s) -> np.ndarray:
             f"transmit vector length {vec.shape} does not match {arr.shape[1]} Tx antennas"
         )
     return arr @ vec
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _complex_cell(z: complex) -> str:
-    re_part, im_part = float(z.real), float(z.imag)
-    if im_part < 0 or (im_part == 0 and np.signbit(im_part)):
-        return f"{_fmt(re_part)}-{_fmt(abs(im_part))}i"
-    return f"{_fmt(re_part)}+{_fmt(im_part)}i"
-
-
-# matches the trailing "<signed float>i" part of an "a+bi" cell
-_IM_RE = re.compile(r"^(?P<re>.+?)(?P<im>[+-][^+-]*(?:[eE][+-]?\d+)?)i$")
-
-
-def _parse_cell(cell: str) -> complex:
-    cell = cell.strip()
-    if cell.endswith("i"):
-        m = _IM_RE.match(cell)
-        if not m:
-            raise ValueError(f"malformed complex cell {cell!r}")
-        return complex(float(m.group("re")), float(m.group("im")))
-    return complex(float(cell), 0.0)
-
-
-def write_matrix_csv(matrix, path) -> None:
-    """Write a matrix as CSV: plain values when real, 'a+bi' cells otherwise."""
-    arr = as_matrix(matrix)
-    if np.iscomplexobj(arr) and not arr.imag.any():
-        arr = arr.real
-    if np.iscomplexobj(arr):
-        cell = _complex_cell
-    else:
-        arr, cell = arr.astype(float, copy=False), repr
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(map(cell, row.tolist())))
-            fh.write("\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Load a matrix written by `write_matrix_csv`.
-
-    Returns a float matrix when no cell carries an imaginary part, a
-    complex matrix otherwise.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([_parse_cell(c) for c in line.split(",")])
-    if not rows:
-        raise ValueError(f"no matrix rows found in {path}")
-    arr = np.array(rows, dtype=complex)
-    if not np.any(arr.imag != 0):
-        return arr.real.copy()
-    return arr
-
-
-def write_matrix_json(matrix, path) -> None:
-    """Write a matrix as nested JSON arrays of [re, im] pairs."""
-    arr = as_matrix(matrix, complex)
-    data = np.stack((arr.real, arr.imag), -1).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(data))
-        fh.write("\n")
-
-
-def load_matrix_json(path) -> np.ndarray:
-    """Load a complex matrix from nested [re, im] JSON arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        rows = [[complex(c[0], c[1]) for c in row] for row in data]
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed matrix document in {path}: {exc}") from exc
-    return as_matrix(rows)

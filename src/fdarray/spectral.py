@@ -162,11 +162,3 @@ def interleaved_closed_form_n2(rho: float, delta2: int) -> tuple[float, float]:
         math.sqrt((14.0 + 4.0 * root10) / 9.0) * scale,
         math.sqrt((14.0 - 4.0 * root10) / 9.0) * scale,
     )
-
-
-def write_spectrum_csv(spec: SingularSpectrum, path) -> None:
-    """Write (index, sigma) rows, index starting at 1."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,sigma\n")
-        for i, sigma in enumerate(spec.sigmas, start=1):
-            fh.write(f"{i},{float(sigma)!r}\n")

@@ -18,16 +18,14 @@ from fdarray.beampattern import (
     beampattern,
     grating_lobes,
     main_lobe_width,
-    write_curve_csv,
 )
 from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.files import load_layout, save_layout, write_curve_csv
 from fdarray.geometry import (
     ArrayGeometry,
     FullDuplexLayout,
     generate_interleaved,
     generate_nested,
-    load_layout,
-    save_layout,
 )
 
 

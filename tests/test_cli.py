@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fdarray.cli import build_parser, main
-from fdarray.geometry import FAMILIES, build_family_layout, generate_nested, load_layout, save_layout
-from fdarray.si_model import load_matrix_csv, load_matrix_json, si_matrix
+from fdarray.files import load_layout, load_matrix_csv, load_matrix_json, save_layout
+from fdarray.geometry import FAMILIES, build_family_layout, generate_nested
+from fdarray.si_model import si_matrix
 from fdarray.spectral import svd_spectrum
 
 
@@ -217,6 +218,9 @@ def test_singular_layout_exits_3(tmp_path, capsys):
         ([0], [0], 3),  # colocated pair only
         ([0, 0], [0], 2),  # duplicate and colocated: malformed before singular
         ("12", [0], 2),  # a string, not a list of positions
+        ([float("inf")], [0], 2),  # written as Infinity
+        ([1, float("-inf")], [0], 2),  # written as -Infinity
+        ([True], [0], 2),  # a boolean, not a position
     ],
 )
 def test_layout_file_defects_exit_codes(tmp_path, capsys, tx, rx, code):

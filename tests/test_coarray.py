@@ -10,15 +10,16 @@ from fdarray.coarray import (
     coarray_scaling,
     loglog_slope,
     sum_coarray,
-    write_coarray_csv,
-    write_scaling_csv,
 )
+from fdarray.experiments import ApertureRule
+from fdarray.files import write_coarray_csv, write_scaling_csv
 from fdarray.geometry import (
     ArrayGeometry,
     FullDuplexLayout,
     generate_interleaved,
     generate_nested,
     generate_partitioned,
+    solve_nested_params,
 )
 
 
@@ -104,6 +105,15 @@ def test_scaling_quadratic_rule_slope():
         _, _, best = enumerate_sum_coarray(list(lay.tx), list(lay.rx))
         assert row.contiguous_len == best
         assert row.aperture == int(lay.joint_aperture)
+
+
+def test_scaling_default_is_the_quadratic_rule():
+    target = ApertureRule(kind="quadratic").target
+    # (0.26*n)*n and 0.26*(n*n) differ in the last ulp for some n ...
+    assert sum(0.26 * n * n != target(n) for n in range(2, 5001)) == 1007
+    # ... but never in the solved nested parameters
+    for n in range(2, 5001):
+        assert solve_nested_params(n, 0.26 * n * n) == solve_nested_params(n, target(n))
 
 
 def test_scaling_saturates_under_constant_aperture():

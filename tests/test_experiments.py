@@ -8,9 +8,8 @@ from fdarray.experiments import (
     build_family_layout,
     fig2_study,
     scaling_sweep,
-    write_fig2_bundle,
-    write_sweep_csv,
 )
+from fdarray.files import write_fig2_bundle, write_sweep_csv
 from fdarray.geometry import FAMILIES, validate
 from fdarray.si_model import si_matrix
 from fdarray.spectral import spectral_norm

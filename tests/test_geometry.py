@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fdarray.files import layout_from_dict, layout_to_dict, load_layout, save_layout
 from fdarray.geometry import (
     ArrayGeometry,
     ColocatedAntennaError,
@@ -10,10 +11,6 @@ from fdarray.geometry import (
     generate_interleaved,
     generate_nested,
     generate_partitioned,
-    layout_from_dict,
-    layout_to_dict,
-    load_layout,
-    save_layout,
     solve_interleaved_spacing,
     solve_nested_params,
     solve_partitioned_gap,
@@ -126,6 +123,18 @@ def test_array_geometry_invariants():
         ArrayGeometry(())
     assert ArrayGeometry((5,)).aperture == 0
     assert g.aperture == 4
+
+
+def test_non_finite_and_boolean_positions_are_rejected():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be finite"):
+            ArrayGeometry((bad,))
+    with pytest.raises(TypeError, match="cannot interpret True"):
+        ArrayGeometry((0, True))
+    # True is an int, but not a position
+    assert validate([True], [0]).errors == (
+        "tx position True is not a number: cannot interpret True as an antenna position",
+    )
 
 
 def test_set_scaling_and_translation():

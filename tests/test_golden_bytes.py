@@ -77,12 +77,21 @@ import pytest
 from oracles import direct_array_factor, sincos_array_factor
 
 import fdarray
-from fdarray.beampattern import DB_FLOOR, BeampatternCurve, write_curve_csv
+from fdarray.beampattern import DB_FLOOR, BeampatternCurve
 from fdarray.cli import main as cli_main
-from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep, write_sweep_csv
-from fdarray.geometry import FullDuplexLayout, generate_nested, load_layout, save_layout
-from fdarray.si_model import as_matrix, load_matrix_csv, load_matrix_json, si_matrix
-from fdarray.spectral import svd_spectrum, write_spectrum_csv
+from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep
+from fdarray.files import (
+    load_layout,
+    load_matrix_csv,
+    load_matrix_json,
+    save_layout,
+    write_curve_csv,
+    write_spectrum_csv,
+    write_sweep_csv,
+)
+from fdarray.geometry import FullDuplexLayout, generate_nested
+from fdarray.si_model import as_matrix, si_matrix
+from fdarray.spectral import svd_spectrum
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 # LAPACK-dependent pins are checked only with the numpy they were recorded with

@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from fdarray.cli import main as cli_main
+from fdarray.files import (
+    load_matrix_csv,
+    load_matrix_json,
+    save_layout,
+    write_matrix_csv,
+    write_matrix_json,
+)
 from fdarray.geometry import (
     ArrayGeometry,
     ColocatedAntennaError,
@@ -13,20 +20,15 @@ from fdarray.geometry import (
     generate_interleaved,
     generate_nested,
     generate_partitioned,
-    save_layout,
 )
 from fdarray.si_model import (
     DistanceMatrix,
     SIChannelMatrix,
     distance_matrix,
     is_toeplitz,
-    load_matrix_csv,
-    load_matrix_json,
     si_leakage,
     si_matrix,
     sign_pattern,
-    write_matrix_csv,
-    write_matrix_json,
 )
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.files import write_spectrum_csv
 from fdarray.geometry import FullDuplexLayout, generate_interleaved, generate_partitioned
 from fdarray.si_model import si_matrix
 from fdarray.spectral import (
@@ -20,7 +21,6 @@ from fdarray.spectral import (
     partitioned_rank1_gap,
     spectral_norm,
     svd_spectrum,
-    write_spectrum_csv,
 )
 
 

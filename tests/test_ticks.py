@@ -10,13 +10,12 @@ import pytest
 from fdarray.beampattern import array_factor, beampattern
 from fdarray.cli import main as cli_main
 from fdarray.coarray import sum_coarray
+from fdarray.files import load_layout, save_layout
 from fdarray.geometry import (
     ArrayGeometry,
     FullDuplexLayout,
     generate_nested,
-    load_layout,
     position_ticks,
-    save_layout,
 )
 from fdarray.si_model import distance_matrix, si_matrix
 
