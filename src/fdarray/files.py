@@ -2,19 +2,26 @@
 
 Files are UTF-8 text with ``\\n`` line ends; layouts and matrices are read
 back, and results are written as CSV tables with one header line.
+
+Matrix files cost time in proportion to their distinct values, not their
+entries: the writers format each distinct float64 bit pattern once and the
+CSV reader parses each distinct cell text once. An SI matrix, Toeplitz or
+mirror-symmetric, holds O(N) distinct values among its N² entries. When
+more than half the entries are distinct, every entry is converted instead.
 """
 
 import json
 import os
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .beampattern import BeampatternCurve
 from .coarray import CoarrayScalingTable, SumCoarray
 from .experiments import Fig2Study, SweepResult
-from .geometry import FullDuplexLayout
+from .geometry import FullDuplexLayout, parse_position
 from .si_model import as_matrix
 from .spectral import SingularSpectrum
 
@@ -76,10 +83,11 @@ def save_layout(layout: FullDuplexLayout, path) -> None:
 def load_layout(path) -> FullDuplexLayout:
     """Load and validate a layout JSON document (see `layout_from_dict`).
 
-    Decimal position values are parsed as exact decimal fractions, so
-    ``0.5`` loads as the rational 1/2 rather than a float.
+    Numbers are parsed as exact decimal fractions by `parse_position`, so
+    ``0.5`` loads as the rational 1/2 rather than a float, and a huge
+    exponent such as ``1e999999999`` raises ValueError at once.
     """
-    return layout_from_dict(json.loads(_read_text(path), parse_float=Fraction, parse_int=Fraction))
+    return layout_from_dict(json.loads(_read_text(path), parse_float=parse_position, parse_int=parse_position))
 
 
 def _complex_cell(z: complex) -> str:
@@ -89,8 +97,13 @@ def _complex_cell(z: complex) -> str:
     return f"{re_part!r}+{im_part!r}i"
 
 
-# matches the trailing "<signed float>i" part of an "a+bi" cell
-_IM_RE = re.compile(r"^(?P<re>.+?)(?P<im>[+-][^+-]*(?:[eE][+-]?\d+)?)i$")
+def _json_cell(z: complex) -> str:
+    return json.dumps([z.real, z.imag])
+
+
+# splits an "a+bi" cell, or each line of many such cells, into "a" and the
+# trailing "<signed float>" before the "i"
+_IM_RE = re.compile(r"^(.+?)([+-][^+\-\n]*(?:[eE][+-]?\d+)?)i$", re.MULTILINE)
 
 
 def _parse_cell(cell: str) -> complex:
@@ -99,38 +112,112 @@ def _parse_cell(cell: str) -> complex:
         m = _IM_RE.match(cell)
         if not m:
             raise ValueError(f"malformed complex cell {cell!r}")
-        return complex(float(m.group("re")), float(m.group("im")))
+        return complex(float(m.group(1)), float(m.group(2)))
     return complex(float(cell), 0.0)
+
+
+def _parse_cells(cells: list[str]) -> list[complex]:
+    """`_parse_cell` of every cell, with one regex pass when all are "a+bi" cells."""
+    parts = _IM_RE.findall("\n".join(map(str.strip, cells)))
+    if len(parts) == len(cells):
+        try:
+            return list(map(complex, map(float, map(itemgetter(0), parts)), map(float, map(itemgetter(1), parts))))
+        except ValueError:
+            pass
+    # plain cells among them, or a malformed one, which raises here
+    return list(map(_parse_cell, cells))
+
+
+def _distinct(keys: np.ndarray):
+    """``(sorted distinct keys, index of each key among them)`` of an integer
+    array, flattened; None when more than half the keys are distinct."""
+    flat = keys.ravel()
+    ordered = np.sort(flat)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if 2 * distinct.size > flat.size:
+        return None
+    return distinct, np.searchsorted(distinct, flat)
+
+
+def _entry_texts(arr: np.ndarray, cell):
+    """``cell`` of every entry of a float64 or complex128 matrix, as row lists.
+
+    Entries are told apart by their exact bits (-0.0 is not 0.0), and each
+    distinct entry is formatted once: an SI matrix holds O(N) distinct
+    values among its N² entries. Returns None when more than half the
+    entries are distinct; formatting each one is then cheaper.
+    """
+    if not np.iscomplexobj(arr):
+        found = _distinct(arr.view(np.uint64))
+        if found is None:
+            return None
+        keys, index = found
+        values = keys.view(np.float64)
+    else:
+        parts = [_distinct(part.view(np.uint64)) for part in (arr.real, arr.imag)]
+        if None in parts:
+            return None
+        (re_keys, re_index), (im_keys, im_index) = parts
+        found = _distinct(re_index * im_keys.size + im_index)
+        if found is None:
+            return None
+        keys, index = found
+        values = np.empty(keys.size, dtype=complex)
+        values.real = re_keys.view(np.float64)[keys // im_keys.size]
+        values.imag = im_keys.view(np.float64)[keys % im_keys.size]
+    texts = np.array(list(map(cell, values.tolist())), dtype=object)
+    return texts[index.reshape(arr.shape)].tolist()
 
 
 def write_matrix_csv(matrix, path) -> None:
     """Write a matrix as CSV: plain values when real, 'a+bi' cells otherwise."""
     arr = as_matrix(matrix)
     if np.iscomplexobj(arr) and arr.imag.any():
-        cell = _complex_cell
+        arr, cell = arr.astype(complex, copy=False), _complex_cell
     else:
         arr, cell = arr.real.astype(float, copy=False), repr
-    _write_lines(path, (",".join(map(cell, row)) for row in arr.tolist()))
+    texts = _entry_texts(arr, cell)
+    if texts is None:
+        _write_lines(path, (",".join(map(cell, row)) for row in arr.tolist()))
+    else:
+        _write_lines(path, map(",".join, texts))
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Load a matrix written by `write_matrix_csv`.
 
     Returns a float matrix when no cell carries an imaginary part, a
-    complex matrix otherwise.
+    complex matrix otherwise. Each distinct cell text is parsed once.
     """
     lines = [line for line in _read_text(path).split("\n") if line.strip()]
-    rows = [[_parse_cell(c) for c in line.split(",")] for line in lines]
-    if not rows:
+    if not lines:
         raise ValueError(f"no matrix rows found in {path}")
-    arr = np.array(rows, dtype=complex)
-    return arr if arr.imag.any() else arr.real.copy()
+    if len({line.count(",") for line in lines}) > 1:
+        raise ValueError(f"matrix rows of unequal length in {path}")
+    cells = ",".join(lines).split(",")
+    distinct = dict.fromkeys(cells)
+    try:
+        # float() rejects every "a+bi" cell
+        values, dtype = list(map(float, distinct)), float
+    except ValueError:
+        values, dtype = _parse_cells(list(distinct)), complex
+    if len(values) < len(cells):
+        values = list(map(dict(zip(distinct, values)).__getitem__, cells))
+    arr = np.array(values, dtype=dtype).reshape(len(lines), -1)
+    return arr.real.copy() if dtype is complex and not arr.imag.any() else arr
 
 
 def write_matrix_json(matrix, path) -> None:
     """Write a matrix as nested JSON arrays of [re, im] pairs."""
     arr = as_matrix(matrix, complex)
-    _write_lines(path, [json.dumps(np.stack((arr.real, arr.imag), -1).tolist())])
+    texts = _entry_texts(arr, _json_cell)
+    if texts is None:
+        text = json.dumps(np.stack((arr.real, arr.imag), -1).tolist())
+    else:
+        text = "[" + ", ".join("[" + ", ".join(row) + "]" for row in texts) + "]"
+    _write_lines(path, [text])
 
 
 def load_matrix_json(path) -> np.ndarray:

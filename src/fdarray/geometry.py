@@ -9,6 +9,7 @@ generator, its parameters and the solver that sizes it to an aperture.
 """
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,36 @@ import numpy as np
 
 class ColocatedAntennaError(ValueError):
     """A Tx and an Rx antenna share a position, so the 1/distance channel term diverges."""
+
+
+# a decimal string with an exponent, split into mantissa and exponent
+_EXPONENT_RE = re.compile(r"(?P<mantissa>\s*[-+]?[\d_]*\.?[\d_]*)[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*")
+
+
+def parse_position(text: str) -> Fraction:
+    """The exact value of a position written as an integer, a decimal or "p/q".
+
+    Raises ValueError on text that is not such a number and on a zero
+    denominator. An exponent larger in magnitude than the text's length
+    plus 62 is rejected without building its power of ten: with a nonzero
+    mantissa the value's numerator or denominator would exceed 10**62, past
+    the 2**62 limit of `position_ticks`. So ``1e999999999`` fails at once,
+    and ``0e999999999`` is 0.
+    """
+    m = _EXPONENT_RE.fullmatch(text) if "e" in text or "E" in text else None
+    if m:
+        try:
+            huge = abs(int(m["exponent"])) > len(text) + 62
+        except ValueError:  # more digits than int() converts
+            huge = True
+        if huge:
+            if Fraction(m["mantissa"]) == 0:
+                return Fraction(0)
+            raise ValueError(f"position {text!r} does not fit int64 ticks (limit 2**62)")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"position {text!r} has a zero denominator") from None
 
 
 def _as_fraction(value) -> Fraction:
@@ -30,7 +61,7 @@ def _as_fraction(value) -> Fraction:
             raise ValueError(f"antenna position must be finite, got {value!r}")
         return Fraction(float(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_position(value)
     raise TypeError(f"cannot interpret {value!r} as an antenna position")
 
 

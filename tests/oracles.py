@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own code paths: singular values come
 from closed-form characteristic-polynomial roots, co-arrays from a direct
-pair enumeration. They exist so the main implementations are checked against
-something that cannot share their bugs.
+pair enumeration, matrix files from formatting every cell on its own. They
+exist so the main implementations are checked against something that
+cannot share their bugs.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -122,3 +124,28 @@ def sincos_array_factor(positions, thetas, theta_s, block_entries=2**18):
         out[lo:lo + rows] = np.einsum("ij,ij->i", giant_phase, low)
     out *= np.exp(1j * phi * float(ticks[0]))
     return out.reshape(th.shape)
+
+
+def reference_matrix_csv(matrix) -> str:
+    """Matrix CSV text with every cell formatted on its own.
+
+    A cell is the repr of its float64 value, or "a+bi" (sign from the
+    imaginary part's sign bit, "+" for NaN) when any entry has a nonzero
+    imaginary part.
+    """
+    arr = np.asarray(matrix)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        def cell(z):
+            re_part, im_part = float(z.real), float(z.imag)
+            if im_part < 0 or (im_part == 0 and np.signbit(im_part)):
+                return f"{re_part!r}-{abs(im_part)!r}i"
+            return f"{re_part!r}+{im_part!r}i"
+    else:
+        arr, cell = arr.real.astype(float), repr
+    return "".join(",".join(map(cell, row)) + "\n" for row in arr.tolist())
+
+
+def reference_matrix_json(matrix) -> str:
+    """Matrix JSON text: json.dumps of the nested [re, im] pairs of every cell."""
+    arr = np.asarray(matrix, dtype=complex)
+    return json.dumps(np.stack((arr.real, arr.imag), -1).tolist()) + "\n"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,7 @@ def test_singular_layout_exits_3(tmp_path, capsys):
         ([float("inf")], [0], 2),  # written as Infinity
         ([1, float("-inf")], [0], 2),  # written as -Infinity
         ([True], [0], 2),  # a boolean, not a position
+        (["1/0"], [0], 2),  # a zero denominator
     ],
 )
 def test_layout_file_defects_exit_codes(tmp_path, capsys, tx, rx, code):
@@ -230,6 +235,30 @@ def test_layout_file_defects_exit_codes(tmp_path, capsys, tx, rx, code):
     assert not (tmp_path / "m.csv").exists()
     # a malformed side is named; a singular layout names the colocated position
     assert ("tx" if code == 2 else "colocated") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, code",
+    [
+        ('{"tx": ["1e999999999"], "rx": [0]}', 2),  # a string position
+        ('{"tx": [1e999999999], "rx": [0]}', 2),  # a bare JSON number
+        ('{"tx": [1e-999999999], "rx": [0]}', 2),  # a denominator of 10**999999999
+        ('{"tx": ["0e999999999", 1], "rx": [2]}', 0),  # zero, whatever its exponent
+    ],
+)
+def test_huge_decimal_exponents_are_judged_promptly(tmp_path, document, code):
+    # in a child process with a timeout, so that building 10**999999999 fails the test instead of hanging it
+    geo = tmp_path / "e.json"
+    geo.write_text(document)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdarray.cli", "coarray", "--geometry", str(geo), "-o", str(tmp_path / "c.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "does not fit int64 ticks" in proc.stderr
 
 
 def test_unparseable_geometry_exits_2(tmp_path):

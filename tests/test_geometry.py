@@ -11,6 +11,7 @@ from fdarray.geometry import (
     generate_interleaved,
     generate_nested,
     generate_partitioned,
+    parse_position,
     solve_interleaved_spacing,
     solve_nested_params,
     solve_partitioned_gap,
@@ -134,6 +135,25 @@ def test_non_finite_and_boolean_positions_are_rejected():
     # True is an int, but not a position
     assert validate([True], [0]).errors == (
         "tx position True is not a number: cannot interpret True as an antenna position",
+    )
+
+
+def test_parse_position_rejects_huge_exponents_without_building_them():
+    assert parse_position("1/3") == Fraction(1, 3)
+    assert parse_position(" -2.5e-3 ") == Fraction(-1, 400)
+    assert parse_position("5" + "0" * 60 + "e-60") == 5
+    assert parse_position("1e60") == 10**60  # too large for ticks, left to position_ticks
+    assert parse_position("0e999999999") == parse_position("-0.0e-999999999") == 0
+    for bad in ("1e999999999", "1e-999999999", "-2.5E+1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="does not fit int64 ticks"):
+            parse_position(bad)
+    for bad in ("abc", ".", "e5", "0x10", "1e5e5"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            parse_position(bad)
+    with pytest.raises(ValueError, match="zero denominator"):
+        ArrayGeometry(("1/0",))
+    assert validate(["1/0"], [1]).errors == (
+        "tx position '1/0' is not a number: position '1/0' has a zero denominator",
     )
 
 
