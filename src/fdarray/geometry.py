@@ -9,7 +9,6 @@ generator, its parameters and the solver that sizes it to an aperture.
 """
 
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +18,6 @@ import numpy as np
 
 class ColocatedAntennaError(ValueError):
     """A Tx and an Rx antenna share a position, so the 1/distance channel term diverges."""
-
-
-# a decimal string with an exponent, split into mantissa and exponent
-_EXPONENT_RE = re.compile(r"(?P<mantissa>\s*[-+]?[\d_]*\.?[\d_]*)[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*")
 
 
 def parse_position(text: str) -> Fraction:
@@ -35,16 +30,15 @@ def parse_position(text: str) -> Fraction:
     the 2**62 limit of `position_ticks`. So ``1e999999999`` fails at once,
     and ``0e999999999`` is 0.
     """
-    m = _EXPONENT_RE.fullmatch(text) if "e" in text or "E" in text else None
-    if m:
-        try:
-            huge = abs(int(m["exponent"])) > len(text) + 62
-        except ValueError:  # more digits than int() converts
-            huge = True
-        if huge:
-            if Fraction(m["mantissa"]) == 0:
-                return Fraction(0)
-            raise ValueError(f"position {text!r} does not fit int64 ticks (limit 2**62)")
+    mantissa, sep, exponent = text.lower().partition("e")
+    try:
+        huge = bool(sep) and abs(int(exponent)) > len(text) + 62
+    except ValueError:  # not an integer: Fraction rejects the text, as it does past int()'s digit limit
+        huge = False
+    if huge:
+        if Fraction(mantissa) == 0:
+            return Fraction(0)
+        raise ValueError(f"position {text!r} does not fit int64 ticks (limit 2**62)")
     try:
         return Fraction(text)
     except ZeroDivisionError:

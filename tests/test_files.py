@@ -130,6 +130,11 @@ def test_matrix_csv_mixed_cells_and_ragged_rows(tmp_path):
     path.write_text("1.0,2.5-0.5i\n1.0, 2.5-0.5i \n")
     got = load_matrix_csv(path)
     assert got.dtype == complex and got.tolist() == [[1.0, 2.5 - 0.5j]] * 2
+    path.write_text("2i,-1e-05-infi\n")
+    assert load_matrix_csv(path).tolist() == [[2j, complex(-1e-05, -np.inf)]]
+    path.write_text("1.0,1+2ii\n")
+    with pytest.raises(ValueError, match="malformed complex cell '1\\+2ii'"):
+        load_matrix_csv(path)
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="unequal length"):
         load_matrix_csv(path)
