@@ -15,20 +15,18 @@ from .beampattern import (
     grating_lobes,
     main_lobe_width,
 )
-from .coarray import (
-    CoarrayScalingTable,
-    SumCoarray,
-    coarray_scaling,
-    loglog_slope,
-    sum_coarray,
-)
+from .coarray import SumCoarray, sum_coarray
 from .experiments import (
     ApertureRule,
+    CoarrayScalingTable,
     Fig2Study,
     SweepResult,
     SweepRow,
     build_family_layout,
+    coarray_scaling,
     fig2_study,
+    loglog_slope,
+    partitioned_rank1_gap,
     scaling_sweep,
 )
 from .files import (
@@ -71,7 +69,6 @@ from .spectral import (
     SingularSpectrum,
     effective_rank,
     interleaved_closed_form_n2,
-    partitioned_rank1_gap,
     spectral_norm,
     svd_spectrum,
 )

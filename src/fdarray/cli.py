@@ -128,12 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_geo = sub.add_parser("geometry", help="generate a layout JSON file")
     p_geo.add_argument("--family", required=True, choices=FAMILIES)
-    p_geo.add_argument("--n", type=int, help="antennas per side (partitioned/interleaved)")
-    p_geo.add_argument("--delta1", type=int, help="partitioned Tx/Rx gap")
-    p_geo.add_argument("--delta2", type=int, help="interleaved spacing")
-    p_geo.add_argument("--m1", type=int, help="nested dense-block size")
-    p_geo.add_argument("--m2", type=int, help="nested sparse-block size")
-    p_geo.add_argument("--delta3", type=int, help="nested half sparse spacing")
+    # one flag per distinct parameter name, in order of first appearance
+    for param in dict.fromkeys(p for spec in FAMILIES.values() for p in spec.params):
+        families = "/".join(f for f, spec in FAMILIES.items() if param in spec.params)
+        p_geo.add_argument(f"--{param}", type=int, help=f"{families} parameter")
     p_geo.add_argument("--label", default="", help="free-form tag stored in the file")
     p_geo.add_argument("-o", "--output", required=True, help="layout JSON path")
     p_geo.set_defaults(func=cmd_geometry)
@@ -168,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="spectral norm vs antenna count under an aperture rule")
     p_sw.add_argument("--family", required=True, choices=FAMILIES)
-    p_sw.add_argument("--rule", required=True, choices=(experiments.RULE_LINEAR, experiments.RULE_QUADRATIC))
-    p_sw.add_argument("--coeff", type=float, default=None, help="aperture coefficient (default 2 linear / 0.26 quadratic)")
+    p_sw.add_argument("--rule", required=True, choices=experiments.DEFAULT_COEFF)
+    defaults = " / ".join(f"{c:g} {rule}" for rule, c in experiments.DEFAULT_COEFF.items())
+    p_sw.add_argument("--coeff", type=float, default=None, help=f"aperture coefficient (default {defaults})")
     p_sw.add_argument("--l-max", type=float, default=None, help="cap on the target aperture")
     p_sw.add_argument("--n-min", type=int, default=10)
     p_sw.add_argument("--n-max", type=int, default=100)

@@ -1,4 +1,4 @@
-"""Figure-level studies: family comparison bundles and spectral-norm sweeps.
+"""Studies: the one module that combines the kernels into the paper's results.
 
 Two aperture growth laws are supported for the sweeps: linear (L = c*N,
 default c=2) and quadratic (L = c*N**2, default c=0.26). Family parameters
@@ -10,7 +10,10 @@ its minimum) are flagged rather than dropped.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .beampattern import BeampatternCurve, beampattern
+from .coarray import sum_coarray
 from .geometry import (
     FullDuplexLayout,
     build_family_layout,
@@ -35,7 +38,7 @@ class ApertureRule:
     l_max: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (RULE_LINEAR, RULE_QUADRATIC):
+        if self.kind not in DEFAULT_COEFF:
             raise ValueError(f"unknown aperture rule {self.kind!r}")
         if self.coeff is None:
             object.__setattr__(self, "coeff", DEFAULT_COEFF[self.kind])
@@ -111,6 +114,94 @@ def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -
             )
         )
     return SweepResult(family=family, rule=rule, rho=float(rho), rows=tuple(rows))
+
+
+@dataclass(frozen=True)
+class CoarrayScalingRow:
+    n: int
+    contiguous_len: int
+    aperture: int
+    m1: int
+    m2: int
+    delta3: int
+
+
+@dataclass(frozen=True)
+class CoarrayScalingTable:
+    """contiguous_len per antenna count, with the fitted log-log growth rate."""
+
+    rows: tuple[CoarrayScalingRow, ...]
+    slope: float
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size < 2:
+        raise ValueError("need at least two points for a slope")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("log-log fit needs positive values")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
+    """Contiguous co-array length of nested layouts across antenna counts.
+
+    For each N the nested family is built with the balanced split
+    m1 = ceil(N/2), m2 = N - m1 and delta3 solved from the target
+    aperture (default the quadratic `ApertureRule`, 0.26*N**2). The
+    contiguous length then grows roughly as N**2 only while 2*delta3 <= m1:
+    that fails at about half of the N in 177..224 and at every N from 225
+    (N = 190, 250 and 300 among them), where it collapses to N - 1 or N.
+
+    Parameters
+    ----------
+    n_values : iterable of int
+        Antenna counts per side, each >= 2.
+    target_aperture : callable, optional
+        Maps N to the desired joint aperture.
+
+    Returns
+    -------
+    CoarrayScalingTable
+    """
+    if target_aperture is None:
+        target_aperture = ApertureRule(kind=RULE_QUADRATIC).target
+    rows = []
+    for n in n_values:
+        layout, params, _ = build_family_layout("nested", n, target_aperture(n))
+        rows.append(
+            CoarrayScalingRow(
+                n=int(n),
+                contiguous_len=int(sum_coarray(layout).contiguous_len),
+                aperture=int(layout.joint_aperture),
+                **dict(params),
+            )
+        )
+    if not rows:
+        raise ValueError("n_values must be nonempty")
+    slope = loglog_slope([r.n for r in rows], [r.contiguous_len for r in rows])
+    return CoarrayScalingTable(rows=tuple(rows), slope=slope)
+
+
+def partitioned_rank1_gap(delta1_values, rho: float = 1.0) -> list[tuple[int, float]]:
+    """sigma2/sigma1 of the two-antenna partitioned channel per gap value.
+
+    The ratio shrinks as the Tx/Rx separation grows and the channel
+    approaches rank one.
+
+    Returns
+    -------
+    list of (delta1, ratio) pairs in the given order.
+    """
+    rows = []
+    for delta1 in delta1_values:
+        spec = svd_spectrum(si_matrix(generate_partitioned(2, delta1), rho))
+        rows.append((delta1, float(spec.sigmas[1] / spec.sigmas[0])))
+    if not rows:
+        raise ValueError("delta1_values must be nonempty")
+    return rows
 
 
 @dataclass(frozen=True)

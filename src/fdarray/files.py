@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .beampattern import BeampatternCurve
-from .coarray import CoarrayScalingTable, SumCoarray
-from .experiments import Fig2Study, SweepResult
+from .coarray import SumCoarray
+from .experiments import CoarrayScalingTable, Fig2Study, SweepResult
 from .geometry import FullDuplexLayout, parse_position
 from .si_model import as_matrix
 from .spectral import SingularSpectrum
@@ -82,11 +82,11 @@ def save_layout(layout: FullDuplexLayout, path) -> None:
 def load_layout(path) -> FullDuplexLayout:
     """Load and validate a layout JSON document (see `layout_from_dict`).
 
-    Numbers are parsed as exact decimal fractions by `parse_position`, so
-    ``0.5`` loads as the rational 1/2 rather than a float, and a huge
-    exponent such as ``1e999999999`` raises ValueError at once.
+    Integers load as ``int``. Other numbers are parsed as exact decimal
+    fractions by `parse_position`, so ``0.5`` loads as 1/2 rather than a
+    float, and a huge exponent such as ``1e999999999`` raises ValueError.
     """
-    return layout_from_dict(json.loads(_read_text(path), parse_float=parse_position, parse_int=parse_position))
+    return layout_from_dict(json.loads(_read_text(path), parse_float=parse_position))
 
 
 def _complex_cell(z: complex) -> str:

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import generate_partitioned
-from .si_model import as_matrix, si_matrix
+from .si_model import as_matrix
 
 
 @dataclass(frozen=True)
@@ -125,25 +124,6 @@ def effective_rank(spec: SingularSpectrum, eps: float) -> int:
     if s[0] == 0:
         return 0
     return int(np.count_nonzero(s >= eps * s[0]))
-
-
-def partitioned_rank1_gap(delta1_values, rho: float = 1.0) -> list[tuple[int, float]]:
-    """sigma2/sigma1 of the two-antenna partitioned channel per gap value.
-
-    The ratio shrinks as the Tx/Rx separation grows and the channel
-    approaches rank one.
-
-    Returns
-    -------
-    list of (delta1, ratio) pairs in the given order.
-    """
-    rows = []
-    for delta1 in delta1_values:
-        spec = svd_spectrum(si_matrix(generate_partitioned(2, delta1), rho))
-        rows.append((delta1, float(spec.sigmas[1] / spec.sigmas[0])))
-    if not rows:
-        raise ValueError("delta1_values must be nonempty")
-    return rows
 
 
 def interleaved_closed_form_n2(rho: float, delta2: int) -> tuple[float, float]:

@@ -13,9 +13,8 @@ import numpy as np
 from oracles import enumerate_sum_coarray, singular_values_2x2, singular_values_3x3
 
 from fdarray.cli import main as cli_main
-from fdarray.experiments import ApertureRule, fig2_study, scaling_sweep
+from fdarray.experiments import ApertureRule, coarray_scaling, fig2_study, scaling_sweep
 from fdarray.beampattern import beampattern, grating_lobes, main_lobe_width
-from fdarray.coarray import coarray_scaling
 from fdarray.geometry import (
     generate_interleaved,
     generate_nested,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from fdarray.cli import build_parser, main
 from fdarray.files import load_layout, load_matrix_csv, load_matrix_json, save_layout
-from fdarray.geometry import FAMILIES, build_family_layout, generate_nested
+from fdarray.geometry import FAMILIES, FamilySpec, build_family_layout, generate_nested, generate_partitioned
 from fdarray.si_model import si_matrix
 from fdarray.spectral import svd_spectrum
 
@@ -285,3 +286,41 @@ def test_parser_is_built_once_and_keeps_no_state_between_parses():
     assert not second.normalized and second.theta_s == 0.0 and second.output == "b.csv"
     third = build_parser().parse_args(["coarray", "--geometry", "g.json", "-o", "c.csv"])
     assert third.command == "coarray" and not hasattr(third, "normalized")
+
+
+def test_huge_integer_position_exits_2(tmp_path, capsys):
+    # a bare JSON integer past int()'s 4300-digit limit; json.dumps cannot write one
+    geo = tmp_path / "big.json"
+    geo.write_text('{"tx": [1' + "0" * 4999 + '], "rx": [0]}')
+    assert run("si", "--geometry", str(geo), "-o", str(tmp_path / "m.csv")) == 2
+    assert "4300 digits" in capsys.readouterr().err
+
+
+def exit_code(*argv):
+    try:
+        return run(*argv)
+    except SystemExit as exc:  # argparse exits on a bad or help flag
+        return exc.code
+
+
+def test_geometry_flags_come_from_the_family_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")  # wide enough that no help text wraps below its flag
+    assert exit_code("geometry", "--help") == 0
+    flags = re.findall(r"^  --(\w+) [A-Z0-9]+ +(.*)$", capsys.readouterr().out, re.M)
+    assert [name for name, _ in flags][:6] == ["n", "delta1", "delta2", "m1", "m2", "delta3"]
+    for name, help_text in flags[:6]:
+        assert help_text.split()[0].split("/") == [f for f, spec in FAMILIES.items() if name in spec.params]
+
+
+def test_a_new_family_is_one_table_row(tmp_path, monkeypatch):
+    # a row with a parameter name no other family has gets its own --flag
+    fake = FamilySpec(lambda n, gap: generate_partitioned(n, gap), ("n", "gap"), lambda n, l_target: (1, False))
+    monkeypatch.setitem(FAMILIES, "fake", fake)
+    build_parser.cache_clear()
+    try:
+        out = tmp_path / "fake.json"
+        assert exit_code("geometry", "--family", "fake", "--n", "3", "--gap", "4", "-o", str(out)) == 0
+        assert exit_code("geometry", "--family", "fake", "--n", "3", "-o", str(out)) == 2
+    finally:
+        build_parser.cache_clear()
+    assert load_layout(out) == generate_partitioned(3, 4)

@@ -6,12 +6,8 @@ import pytest
 
 from oracles import enumerate_sum_coarray
 
-from fdarray.coarray import (
-    coarray_scaling,
-    loglog_slope,
-    sum_coarray,
-)
-from fdarray.experiments import ApertureRule
+from fdarray.coarray import sum_coarray
+from fdarray.experiments import ApertureRule, coarray_scaling, loglog_slope
 from fdarray.files import write_coarray_csv, write_scaling_csv
 from fdarray.geometry import (
     ArrayGeometry,

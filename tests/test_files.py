@@ -18,7 +18,7 @@ from oracles import reference_matrix_csv, reference_matrix_json
 
 import fdarray
 from fdarray import files
-from fdarray.coarray import coarray_scaling
+from fdarray.experiments import coarray_scaling
 from fdarray.files import (
     load_matrix_csv,
     load_matrix_json,

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import enumerate_sum_coarray
 
-from fdarray.coarray import coarray_scaling, sum_coarray
+from fdarray.coarray import sum_coarray
+from fdarray.experiments import coarray_scaling
 from fdarray.geometry import FullDuplexLayout, generate_nested
 from fdarray.si_model import distance_matrix, is_toeplitz, si_matrix, sign_pattern
 

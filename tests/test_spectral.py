@@ -11,14 +11,13 @@ from test_properties import rational_layouts
 from fractions import Fraction
 
 from fdarray.cli import main as cli_main
-from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.experiments import ApertureRule, build_family_layout, partitioned_rank1_gap
 from fdarray.files import write_spectrum_csv
 from fdarray.geometry import FullDuplexLayout, generate_interleaved, generate_partitioned
 from fdarray.si_model import si_matrix
 from fdarray.spectral import (
     effective_rank,
     interleaved_closed_form_n2,
-    partitioned_rank1_gap,
     spectral_norm,
     svd_spectrum,
 )
