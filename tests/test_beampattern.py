@@ -14,6 +14,7 @@ from test_properties import rational_layouts
 from fdarray.beampattern import (
     DB_FLOOR,
     BeampatternCurve,
+    _runs,
     array_factor,
     beampattern,
     grating_lobes,
@@ -22,10 +23,12 @@ from fdarray.beampattern import (
 from fdarray.experiments import ApertureRule, build_family_layout
 from fdarray.files import load_layout, save_layout, write_curve_csv
 from fdarray.geometry import (
+    FAMILIES,
     ArrayGeometry,
     FullDuplexLayout,
     generate_interleaved,
     generate_nested,
+    position_ticks,
 )
 
 
@@ -250,6 +253,80 @@ def test_beampattern_memory_is_bounded(rule):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# --- the run form ------------------------------------------------------------
+
+
+def rebuilt_ticks(runs):
+    starts, steps, lengths = runs
+    return np.concatenate([a + d * np.arange(m) for a, d, m in zip(starts, steps, lengths)])
+
+
+def recentred_ticks(g):
+    (ticks,), _ = position_ticks(g)
+    return ticks - ticks[0]
+
+
+def test_run_split_rebuilds_the_ticks_and_family_sides_are_at_most_two_runs():
+    for family in FAMILIES:
+        for rule in ("linear", "quadratic"):
+            for n in (11, 100, 300, 1000):
+                layout = build_family_layout(family, n, ApertureRule(kind=rule).target(n))[0]
+                for g in (layout.tx, layout.rx):
+                    t = recentred_ticks(g)
+                    runs = _runs(t)
+                    assert np.array_equal(rebuilt_ticks(runs), t)
+                    assert len(runs[0]) <= 2, (family, rule, n)
+
+
+def test_run_split_is_greedy_and_maximal():
+    rng = np.random.default_rng(15)
+    sets = [np.array([0]), np.array([0, 7]), np.array([0, 5, 6, 7, 9, 11, 13, 14])]
+    sets += [np.unique(rng.integers(0, span, 40)) for span in (45, 120, 10**6)]
+    for t in sets:
+        t = t - t[0]
+        starts, steps, lengths = runs = _runs(t)
+        assert np.array_equal(rebuilt_ticks(runs), t)
+        assert np.all(lengths >= 1) and np.all(steps >= 1)
+        ends = starts + steps * (lengths - 1)
+        for i in range(len(starts) - 1):
+            if lengths[i] > 1:
+                # a run of three or more ticks stops where the spacing changes
+                assert lengths[i] >= 3 and starts[i + 1] - ends[i] != steps[i]
+            elif lengths[i + 1] > 1 or i + 2 < len(starts):
+                # a lone tick and the next two ticks are no run of three
+                after = starts[i + 1] + steps[i + 1] if lengths[i + 1] > 1 else starts[i + 2]
+                assert after - starts[i + 1] != starts[i + 1] - starts[i]
+    assert [len(_runs(t)[0]) for t in sets[:3]] == [1, 2, 4]
+
+
+@st.composite
+def progression_unions(draw):
+    """Unions of 1-4 arithmetic progressions (integer start, step >= 1, 1-200
+    terms), maybe scaled by 1/q for q in {2, 3, 7}, translated by up to 1e6,
+    duplicates dropped."""
+    ticks = set()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(-10**4, 10**4))
+        step = draw(st.integers(1, 1000))
+        ticks.update(range(start, start + step * draw(st.integers(1, 200)), step))
+    q = draw(st.sampled_from([1, 2, 3, 7]))
+    offset = draw(st.integers(0, 10**6))
+    return ArrayGeometry([Fraction(t, q) + offset for t in ticks])
+
+
+@settings(max_examples=100, deadline=None)
+@given(progression_unions(), st.floats(-np.pi / 2, np.pi / 2))
+def test_array_factor_matches_recentred_sum_on_progression_unions(g, theta_s):
+    curve = beampattern(g, theta_s, grid_size=257)
+    assert_matches_recentred_sum(g, curve.thetas, theta_s)
+    # beampattern's magnitudes, read back from dB; samples clamped at the floor lie below it
+    want = np.abs(direct_array_factor([p - g.positions[0] for p in g.positions], curve.thetas, theta_s))
+    floor = curve.gains_db <= DB_FLOOR
+    got = 10.0 ** (curve.gains_db / 20.0)
+    assert np.max(np.abs(got - want)[~floor], initial=0.0) <= 1e-11 * len(g)
+    assert np.all(want[floor] <= 10.0 ** (DB_FLOOR / 20.0) + 1e-11 * len(g))
 
 
 # --- grating-lobe scan against a per-sample loop ------------------------------

@@ -293,7 +293,11 @@ def test_huge_integer_position_exits_2(tmp_path, capsys):
     geo = tmp_path / "big.json"
     geo.write_text('{"tx": [1' + "0" * 4999 + '], "rx": [0]}')
     assert run("si", "--geometry", str(geo), "-o", str(tmp_path / "m.csv")) == 2
-    assert "4300 digits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "4300 digits" in err
+    # the message names the file and the tick limit, not an interpreter setting
+    assert str(geo) in err and "2**62" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def exit_code(*argv):

@@ -46,6 +46,20 @@ re-centred direct sum.
 `svd_spectrum` and the running-product phases moved; every other file keeps
 its pin in ``GOLDEN``, ``GOLDEN_CURVES_TICKS`` or ``GOLDEN_SWEEP``.
 
+``GOLDEN_RUNS`` pins the CLI bytes of the curve files that the run form of
+`array_factor` moved: every ``beampattern`` CSV and the three ``fig2``
+beampattern CSVs. Each side of these layouts is now a sum of one or two
+Dirichlet kernels (4 and 10 runs for the decimal sides of
+``nested_thirds_roundtrip``), and `beampattern` takes the magnitude of the
+re-centred sum without its common phase. The ``GOLDEN_CURVES_TICKS``
+and ``GOLDEN_MOVED`` curve pins are checked against a rendering through the
+production `_split_sum` and `_direct_sum`, chosen as the code before the run
+form chose them (`split_array_factor`). The run-form bytes, like every
+curve pin, depend on numpy's float64 ``np.sin``. On the x86-64 Xeon the
+pins were taken on (AVX-512 available), numpy 2.4.6 does not vectorise it:
+it matched glibc's ``sin`` bit for bit on 200000 random arguments, so the
+pins follow the libm rather than a SIMD kernel.
+
 The ``si`` and ``coarray`` digests and the direct-sum curves involve no
 BLAS or LAPACK call and hold everywhere. The bytes of ``svd`` and
 ``sweep`` outputs, the ``fig2`` spectra and the tick-based curves also
@@ -64,6 +78,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,7 +92,7 @@ import pytest
 from oracles import direct_array_factor, sincos_array_factor
 
 import fdarray
-from fdarray.beampattern import DB_FLOOR, BeampatternCurve
+from fdarray.beampattern import DB_FLOOR, BeampatternCurve, _direct_sum, _split_sum
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep
 from fdarray.files import (
@@ -89,7 +104,7 @@ from fdarray.files import (
     write_spectrum_csv,
     write_sweep_csv,
 )
-from fdarray.geometry import FullDuplexLayout, generate_nested
+from fdarray.geometry import ArrayGeometry, FullDuplexLayout, generate_nested, position_ticks
 from fdarray.si_model import as_matrix, si_matrix
 from fdarray.spectral import svd_spectrum
 
@@ -105,10 +120,10 @@ FULL_SVD = "full-svd:"
 # prefix of the cases that render layout spectra with the complex SVD
 COMPLEX_SVD = "complex-svd:"
 # prefixes of the cases that render beampatterns with an oracle array factor
-# (and fig2 spectra with the complex SVD); see the docstring
+# or the production split (and fig2 spectra with the complex SVD); see the docstring
 DIRECT = "direct:"
 SINCOS = "sincos:"
-CURVE_ORACLES = {DIRECT: direct_array_factor, SINCOS: sincos_array_factor}
+SPLIT = "split:"
 BEAMPATTERN = "beampattern:"
 FIG2 = "fig2"
 FIG2_LAPACK_FILES = tuple(f"spectrum_{fam}.csv" for fam in ("partitioned", "interleaved", "nested"))
@@ -224,6 +239,25 @@ def full_svd_sweep_digest(family, rule, workdir) -> str:
     return _sha(out)
 
 
+def split_array_factor(positions, thetas, theta_s):
+    """`array_factor` as computed before the run form: the production
+    baby-step/giant-step `_split_sum` when B + #giant columns < N, else the
+    production `_direct_sum` over the N re-centred ticks, times exp(j*phi*t_0)."""
+    (ticks,), q = position_ticks(ArrayGeometry(positions))
+    t = ticks - ticks[0]
+    span = int(t[-1])
+    step = math.isqrt(span - 1) + 1 if span else 1
+    phi = np.pi * (np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)) / q
+    if step + len(np.unique(t // step)) < len(t):
+        out = _split_sum(t, phi, step)
+    else:
+        out = _direct_sum(t.astype(float), phi)
+    return out * np.exp(1j * phi * float(ticks[0]))
+
+
+CURVE_ORACLES = {DIRECT: direct_array_factor, SINCOS: sincos_array_factor, SPLIT: split_array_factor}
+
+
 def oracle_curve(factor, geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
     """`beampattern`'s curve with magnitudes from the oracle array factor ``factor``."""
     thetas = np.linspace(-np.pi / 2, np.pi / 2, grid_size)
@@ -273,7 +307,8 @@ def digests(cases) -> dict:
     """Digests of the named cases: layout names and their complex-SVD
     renderings "complex-svd:<layout>", "family/rule" sweeps and their
     full-SVD renderings "full-svd:family/rule", "beampattern:<layout>" and
-    "fig2", and their oracle renderings "direct:..." and "sincos:..."."""
+    "fig2", their oracle renderings "direct:..." and "sincos:..." and their
+    production-split renderings "split:..."."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
@@ -459,6 +494,34 @@ GOLDEN_MOVED = {
 }
 
 
+# CLI bytes of the curve files that the run-form `array_factor` moved (see the docstring).
+GOLDEN_RUNS = {
+    "beampattern:nested_integer": {
+        "bp_rx.csv": "053d51d13e87bc21f69996f8b857d6774cf20a51ca1fea77a04bba15999f981f",
+        "bp_tx.csv": "9286d4bb2d372b2f843539b1184b44949b0e385ed3710eab7147873751a5a3d0",
+        "bp_rx_steered.csv": "6d3542dde58d14b5ed475078035fee74eb37d923f21f7fc251c12558b8f3de81",
+        "bp_tx_normalized_steered.csv": "3102f709ab46f30c710651f154dc73ad0e130cf1ba8f03c52fe833afcebce434",
+    },
+    "beampattern:nested_thirds_exact": {
+        "bp_rx.csv": "72a3fe56a268070e36dcc70a137466d3c131cb43064f0583886df492aa120fc5",
+        "bp_tx.csv": "ccba366229e4953a5a4343715c836d3af5d5d2a11d2b7112e9d5bed1144a2ebb",
+        "bp_rx_steered.csv": "44ebf33a087ec1bd1acd60686d4bdbeeece6a8cc2d181140543c5a37cf7f7454",
+        "bp_tx_normalized_steered.csv": "982965302826afe1e59221f09666d22537cec0c8ace00c76935cb5955f571e08",
+    },
+    "beampattern:nested_thirds_roundtrip": {
+        "bp_rx.csv": "369adf9311dd2e92a06ba3c355f520bd8cf9aca3bfb9b26fef03dee872696a0d",
+        "bp_tx.csv": "435d1c275cbc8956d1d1e26ea039639da5cf1df7a039a64cd0e8b182be325102",
+        "bp_rx_steered.csv": "cddf2a91b31c8715519056186b06ab9db91e341586575633d3f52aa4ab75ed3c",
+        "bp_tx_normalized_steered.csv": "c0aa3475f5c8c31ccacb73c6a2b218118eae4d007acd23160fccdc71f92e3ba0",
+    },
+    "fig2": {
+        "beampattern_interleaved.csv": "bc7563a69270afae40fe44c6f092dcc0481a3ff2c1ff281573602361fd23ed09",
+        "beampattern_nested.csv": "3386c582d5cbcb7cea22274f366e015e579d9fb15b9b55134e05aaae1acba028",
+        "beampattern_partitioned.csv": "1e8598cd1457656261fe1847714a530094fd26dca11bad27c5abb8c860db126d",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
     got, want = child_digests(name), {**GOLDEN[name], **GOLDEN_MOVED.get(name, {})}
@@ -507,8 +570,18 @@ def test_curve_sincos_rendering_matches_golden_bytes(case):
 
 @pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
 @pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
+def test_curve_split_rendering_matches_golden_bytes(case):
+    """The production split, chosen as before the run form, reproduces the tick-based curve pins
+    (the rendering's fig2 spectra come from the complex SVD, as ``GOLDEN_CURVES_TICKS`` recorded them)."""
+    moved = {f: d for f, d in GOLDEN_MOVED.get(case, {}).items() if f not in FIG2_LAPACK_FILES}
+    assert child_digests(SPLIT + case) == {**GOLDEN_CURVES_TICKS[case], **moved}
+
+
+@pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
 def test_curve_cli_output_matches_golden_bytes(case):
-    assert child_digests(case) == {**GOLDEN_CURVES_TICKS[case], **GOLDEN_MOVED.get(case, {})}
+    want = {**GOLDEN_CURVES_TICKS[case], **GOLDEN_MOVED.get(case, {}), **GOLDEN_RUNS[case]}
+    assert child_digests(case) == want
 
 
 def test_sweep_sigma1_agrees_with_full_svd():
@@ -524,7 +597,8 @@ def test_sweep_sigma1_agrees_with_full_svd():
 if __name__ == "__main__":
     layouts = [f"{pre}{name}" for pre in ("", COMPLEX_SVD) for name in sorted(LAYOUTS)]
     sweeps = [f"{pre}{fam}/{rule}" for pre in ("", FULL_SVD) for fam, rule in SWEEPS]
-    curves = [f"{pre}{case}" for pre in ("", DIRECT, SINCOS) for case in [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]]
+    curve_cases = [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]
+    curves = [f"{pre}{case}" for pre in ("", DIRECT, SINCOS, SPLIT) for case in curve_cases]
     cases = sys.argv[1:] or layouts + sweeps + curves
     json.dump(digests(cases), sys.stdout, indent=4)
     print()
