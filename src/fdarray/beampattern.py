@@ -5,37 +5,24 @@ The array factor of a geometry steered to theta_s is
 positions d_n in half-wavelength units, so a unit-spacing array is
 critically sampled and spacings above one admit grating lobes.
 
-It is evaluated on the exact position ticks ``d_n = (t_0 + t_n)/q`` as
-``A = exp(j*phi*t_0) * S``, with ``u = sin(theta) - sin(theta_s)``,
-``phi = pi*u/q`` and the re-centred sum ``S = sum_n exp(j*phi*t_n)``, in one
-of two forms:
+It is evaluated on the exact position ticks ``d_n = (t_0 + t_n)/q``, with
+``u = sin(theta) - sin(theta_s)`` and ``phi = pi*u/q``, run by run: the
+sorted ticks split greedily into maximal uniform runs ``a + d*i``, ``i < m``
+(three or more ticks at one spacing; every other tick is a run of its own).
+A run adds one Dirichlet kernel
+``exp(j*phi*c) * (-1)**(k*(m-1)) * sin(m*pi*y)/sin(pi*y)`` with centre
+``c = a + d*(m-1)/2``, ``v = u*d/(2*q)``, ``k = round(v)`` and ``y = v - k``:
+exactly m where y == 0, and free of 0/0 and of cancellation near grating
+lobes. That is two real sines and one complex exponential per run and angle.
+One-tick runs are summed directly, one complex exponential each, so a set
+with no uniform run is the direct sum. Every side of a family layout, under
+either aperture rule, is one or two runs.
 
-- **Run form.** The sorted ticks split greedily into maximal uniform runs
-  ``a + d*i``, ``i < m`` (three or more ticks at one spacing; every other
-  tick is a run of its own). A run adds one Dirichlet kernel
-  ``exp(j*phi*c) * (-1)**(k*(m-1)) * sin(m*pi*y)/sin(pi*y)`` with centre
-  ``c = a + d*(m-1)/2``, ``v = u*d/(2*q)``, ``k = round(v)`` and
-  ``y = v - k``: exactly m where y == 0, and free of 0/0 and of cancellation
-  near grating lobes. That is two real sines and one complex exponential per
-  run and angle. One-tick runs are summed directly, one complex exponential
-  each, so a set of them is the direct sum.
-- **Baby-step/giant-step split** ``t_n = a_n*B + b_n``, ``B = ceil(sqrt(span))``:
-  ``S = sum_a exp(j*phi*a*B) * sum_b counts[a, b]*exp(j*phi*b)``. The phases
-  are running products of two complex exponentials, and the inner sums are
-  one real matrix product per block of angles: about ``B + max(a)`` complex
-  products and ``#distinct(a)*B`` multiply-adds per angle.
-
-The form is chosen from the run count: the split only when its measured cost
-in runs (see `_SPLIT_FIXED_RUNS`) is below it, that is for many short runs
-on a short span. Every side of a family layout, under either aperture rule,
-is one or two runs; decimals over a 1e16 denominator take the run form too,
-since the split's cost grows with the span.
-
-`beampattern` takes the magnitude of S without the common phase, with the
-phases measured from the first run's centre, so a side that is one uniform
-run costs two real sines per angle and no complex exponential.
-`array_factor` measures them from t_0 and multiplies by exp(j*phi*t_0). Both
-forms work on blocks of about 2**18 entries, so memory is O(grid + block):
+Phases are measured from the first run's centre, ``origin = t_0 + c_0``.
+`beampattern` takes the magnitude of that re-centred sum S without the common
+phase, so a side that is one uniform run costs two real sines per angle and
+no complex exponential; `array_factor` returns ``S * exp(j*phi*origin)``.
+Both work on blocks of about 2**18 entries, so memory is O(grid + block):
 `beampattern` of a 1000-antenna family side on a 16384-point grid peaks at
 about 3 MB.
 """
@@ -51,14 +38,6 @@ from .geometry import ArrayGeometry, position_ticks
 DB_FLOOR = -120.0
 # matrix entries per block of angles in `array_factor`: bounds its memory
 _BLOCK_ENTRIES = 2**18
-# Cost of the baby-step/giant-step split per angle, in runs of the run form
-# (about 70 ns each): a fixed 1.5, plus 1/8 per term of B + #giant columns,
-# plus 1/800 per entry of its #giant columns x B occupancy matrix. Least-squares
-# fit over random sets of 10-1000 ticks on spans of 1.1-128 times their count,
-# 4096 angles, one BLAS thread, numpy 2.4.6, 2-vCPU x86-64 VM.
-_SPLIT_FIXED_RUNS = 1.5
-_SPLIT_TERMS_PER_RUN = 8
-_SPLIT_ENTRIES_PER_RUN = 800
 _HALF_POWER_DB = 20.0 * math.log10(math.sqrt(2.0))
 
 METHOD_NULL_TO_NULL = "null_to_null"
@@ -153,42 +132,6 @@ def _direct_sum(offsets: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """(count, len(w)) array of ``w**k`` for k < count, by running products.
-
-    Each pass multiplies the powers known so far by the next power-of-two
-    power of w, so the rounding error of ``w**k`` grows with k (about
-    k*eps) as in a step-by-step product, in about log2(count) passes.
-    """
-    out = np.empty((count, len(w)), dtype=complex)
-    out[0] = 1.0
-    known = 1
-    while known < count:
-        m = min(known, count - known)
-        np.multiply(out[:m], w, out=out[known:known + m])
-        known += m
-        w = w * w
-    return out
-
-
-def _split_sum(t: np.ndarray, phi: np.ndarray, step: int) -> np.ndarray:
-    """``sum_n exp(j*phi*t_n)`` by the baby-step/giant-step split ``t_n = a_n*step + b_n``."""
-    giant, baby = np.divmod(t, step)
-    cols, col = np.unique(giant, return_inverse=True)
-    counts = np.zeros((len(cols), step))
-    counts[col, baby] = 1.0  # distinct ticks: each (a, b) cell holds at most one
-    out = np.empty(phi.shape, dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // (step + len(cols)))
-    for lo in range(0, len(phi), rows):
-        p = phi[lo:lo + rows]
-        # (a, angle) sums over b of exp(j*phi*b): the real product of counts
-        # with the interleaved real and imaginary parts of the baby steps
-        low = (counts @ _powers(np.exp(1j * p), step).view(float)).view(complex)
-        giant_phase = _powers(np.exp(1j * step * p), int(cols[-1]) + 1)[cols]
-        out[lo:lo + rows] = np.einsum("ij,ij->j", giant_phase, low)
-    return out
-
-
 def _run_sum(runs, u: np.ndarray, phi: np.ndarray, denom: int):
     """``(S, c)`` with ``S = sum_n exp(j*phi*(t_n - c))`` over the ticks of
     ``runs`` (see `_runs`) and c the first run's centre. S is real when that
@@ -204,7 +147,7 @@ def _run_sum(runs, u: np.ndarray, phi: np.ndarray, denom: int):
         scale = (steps[multi] / (2.0 * denom))[:, None]
         offsets = offsets[multi][:, None]
         first = int(multi[0])  # the first run's kernel has phase 1
-        blocks = []
+        kernel_sum = np.empty(u.shape, dtype=complex if len(m) > first else float)
         size = max(1, _BLOCK_ENTRIES // (1 + len(m)))
         for lo in range(0, len(u), size):
             kernels = _dirichlet(scale * u[lo:lo + size], m)
@@ -212,15 +155,14 @@ def _run_sum(runs, u: np.ndarray, phi: np.ndarray, denom: int):
             if len(m) > first:
                 phase = np.exp(1j * (offsets[first:] * phi[lo:lo + size]))
                 total = total + np.einsum("ij,ij->j", phase, kernels[first:])
-            blocks.append(total)
-        kernel_sum = np.concatenate(blocks)
+            kernel_sum[lo:lo + size] = total
         out = kernel_sum if out is None else out + kernel_sum
     return out, 0.5 * float(widths[0])
 
 
 def _sum_at(g: ArrayGeometry, theta, theta_s: float):
     """``(S, phi, origin)`` at the angle(s) theta, with the array factor
-    ``S * exp(j*phi*origin)`` and S summed in the cheaper form."""
+    ``S * exp(j*phi*origin)`` and S summed run by run."""
     theta_s = _check_angle("theta_s", theta_s)
     th = np.asarray(theta, dtype=float)
     if np.any(th < -np.pi / 2 - 1e-12) or np.any(th > np.pi / 2 + 1e-12):
@@ -228,16 +170,7 @@ def _sum_at(g: ArrayGeometry, theta, theta_s: float):
     (ticks,), denom = position_ticks(g)
     u = np.sin(th.ravel()) - math.sin(theta_s)
     phi = np.pi * u / denom
-    t = ticks - ticks[0]
-    runs = _runs(t)
-    span = int(t[-1])
-    step = math.isqrt(span - 1) + 1 if span else 1
-    if step > 1 and len(runs[0]) > _SPLIT_FIXED_RUNS:
-        cols = len(np.unique(t // step))
-        split_runs = _SPLIT_FIXED_RUNS + (step + cols) / _SPLIT_TERMS_PER_RUN + step * cols / _SPLIT_ENTRIES_PER_RUN
-        if len(runs[0]) > split_runs:
-            return _split_sum(t, phi, step), phi, float(ticks[0])
-    out, centre = _run_sum(runs, u, phi, denom)
+    out, centre = _run_sum(_runs(ticks - ticks[0]), u, phi, denom)
     return out, phi, float(ticks[0]) + centre
 
 

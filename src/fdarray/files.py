@@ -88,16 +88,17 @@ def load_layout(path) -> FullDuplexLayout:
     float, and a huge exponent such as ``1e999999999`` raises ValueError,
     as does an integer longer than `int` reads (4300 digits by default).
     """
-    try:
-        data = json.loads(_read_text(path), parse_float=parse_position)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise ValueError(
-            f"{path}: an integer position has more than {sys.get_int_max_str_digits()} digits;"
-            " positions must fit int64 ticks below 2**62"
-        ) from None
-    return layout_from_dict(data)
+
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # json passes only digit strings: past int()'s digit limit
+            raise ValueError(
+                f"{path}: an integer position has more than {sys.get_int_max_str_digits()} digits;"
+                " positions must fit int64 ticks below 2**62"
+            ) from None
+
+    return layout_from_dict(json.loads(_read_text(path), parse_float=parse_position, parse_int=parse_int))
 
 
 def _complex_cell(z: complex) -> str:
@@ -234,14 +235,10 @@ def write_spectrum_csv(spec: SingularSpectrum, path) -> None:
     _write_lines(path, rows, header="index,sigma")
 
 
-def _write_curve(curve: BeampatternCurve, path, theta_texts: list[str]) -> None:
-    rows = map(",".join, zip(theta_texts, map(repr, curve.gains_db.tolist())))
-    _write_lines(path, rows, header="theta,B")
-
-
 def write_curve_csv(curve: BeampatternCurve, path) -> None:
     """Write (theta, B) rows with B the gain in dB."""
-    _write_curve(curve, path, list(map(repr, curve.thetas.tolist())))
+    rows = map(",".join, zip(map(repr, curve.thetas.tolist()), map(repr, curve.gains_db.tolist())))
+    _write_lines(path, rows, header="theta,B")
 
 
 def _fmt_sum(value: int | Fraction) -> str:
@@ -281,16 +278,11 @@ def write_fig2_bundle(study: Fig2Study, directory) -> list[str]:
     """
     os.makedirs(directory, exist_ok=True)
     written = []
-    theta_texts = {}  # the curves share one angle grid: format it once
     for fam in study.layouts:
         geo_path = os.path.join(directory, f"geometry_{fam}.json")
         save_layout(study.layouts[fam], geo_path)
-        curve = study.beampatterns[fam]
-        key = curve.thetas.tobytes()
-        if key not in theta_texts:
-            theta_texts[key] = list(map(repr, curve.thetas.tolist()))
         curve_path = os.path.join(directory, f"beampattern_{fam}.csv")
-        _write_curve(curve, curve_path, theta_texts[key])
+        write_curve_csv(study.beampatterns[fam], curve_path)
         spec_path = os.path.join(directory, f"spectrum_{fam}.csv")
         write_spectrum_csv(study.spectra[fam], spec_path)
         written += [geo_path, curve_path, spec_path]

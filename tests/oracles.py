@@ -126,6 +126,57 @@ def sincos_array_factor(positions, thetas, theta_s, block_entries=2**18):
     return out.reshape(th.shape)
 
 
+def running_product_array_factor(positions, thetas, theta_s, block_entries=2**18):
+    """The array factor by a baby-step/giant-step split with running-product phases.
+
+    The split of `sincos_array_factor`, with the baby steps exp(j*phi*b),
+    b < B, and the giant steps exp(j*phi*a*B), a <= max(a), built as running
+    products of exp(j*phi) and exp(j*phi*B): each pass multiplies the powers
+    known so far by the next power-of-two power. The baby steps are summed by
+    the real product of the (a, b) occupancy matrix with their interleaved
+    real and imaginary parts. When B + #distinct(a) >= N the ticks are summed
+    directly, one exponential each.
+    """
+
+    def powers(w, count):
+        out = np.empty((count, len(w)), dtype=complex)
+        out[0] = 1.0
+        known = 1
+        while known < count:
+            m = min(known, count - known)
+            np.multiply(out[:m], w, out=out[known:known + m])
+            known += m
+            w = w * w
+        return out
+
+    q = math.lcm(*(p.denominator for p in positions))
+    ticks = np.array([p.numerator * (q // p.denominator) for p in positions], dtype=np.int64)
+    th = np.asarray(thetas, dtype=float)
+    t = ticks - ticks[0]
+    span = int(t[-1])
+    step = math.isqrt(span - 1) + 1 if span else 1
+    giant, baby = np.divmod(t, step)
+    cols, col = np.unique(giant, return_inverse=True)
+    if step + len(cols) >= len(t):
+        step, baby, cols, col = 1, np.zeros_like(t), t, np.arange(len(t))
+    counts = np.zeros((len(cols), step))
+    counts[col, baby] = 1.0
+    phi = np.pi * (np.sin(th.ravel()) - math.sin(theta_s)) / q
+    out = np.empty(phi.shape, dtype=complex)
+    rows = max(1, block_entries // (step + len(cols)))
+    for lo in range(0, len(phi), rows):
+        p = phi[lo:lo + rows]
+        if step == 1:
+            giant_phase = np.exp(1j * np.multiply.outer(p, cols.astype(float)))
+            out[lo:lo + rows] = np.einsum("ij,j->i", giant_phase, counts[:, 0])
+            continue
+        low = (counts @ powers(np.exp(1j * p), step).view(float)).view(complex)
+        giant_phase = powers(np.exp(1j * step * p), int(cols[-1]) + 1)[cols]
+        out[lo:lo + rows] = np.einsum("ij,ij->j", giant_phase, low)
+    out *= np.exp(1j * phi * float(ticks[0]))
+    return out.reshape(th.shape)
+
+
 def reference_matrix_csv(matrix) -> str:
     """Matrix CSV text with every cell formatted on its own.
 

@@ -66,6 +66,14 @@ def test_array_factor_range_checks():
         array_factor(g, 0.0, theta_s=-2.0)
 
 
+def test_array_factor_of_no_angles_is_empty():
+    # one run, two runs and one-tick runs only
+    nested = generate_nested(4, 4, 1)
+    for g in (ula(5), nested.tx, nested.rx, ArrayGeometry((0, 1, 3, 7))):
+        out = array_factor(g, np.array([]))
+        assert out.shape == (0,) and out.dtype == complex
+
+
 def test_beampattern_grid_and_normalization():
     g = ula(11)
     curve = beampattern(g, 0.0, grid_size=513, normalized=True)

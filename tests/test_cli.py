@@ -300,6 +300,15 @@ def test_huge_integer_position_exits_2(tmp_path, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+def test_huge_exponent_decimal_position_exits_2(tmp_path, capsys):
+    # an exponent past int()'s digit limit fails in the decimal parser, not as an integer
+    geo = tmp_path / "exp.json"
+    geo.write_text('{"tx": [1.5e1' + "0" * 4999 + '], "rx": [0]}')
+    assert run("si", "--geometry", str(geo), "-o", str(tmp_path / "m.csv")) == 2
+    err = capsys.readouterr().err
+    assert "4300 digits" in err and "integer position" not in err
+
+
 def exit_code(*argv):
     try:
         return run(*argv)

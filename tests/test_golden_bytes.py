@@ -51,11 +51,11 @@ its pin in ``GOLDEN``, ``GOLDEN_CURVES_TICKS`` or ``GOLDEN_SWEEP``.
 beampattern CSVs. Each side of these layouts is now a sum of one or two
 Dirichlet kernels (4 and 10 runs for the decimal sides of
 ``nested_thirds_roundtrip``), and `beampattern` takes the magnitude of the
-re-centred sum without its common phase. The ``GOLDEN_CURVES_TICKS``
-and ``GOLDEN_MOVED`` curve pins are checked against a rendering through the
-production `_split_sum` and `_direct_sum`, chosen as the code before the run
-form chose them (`split_array_factor`). The run-form bytes, like every
-curve pin, depend on numpy's float64 ``np.sin``. On the x86-64 Xeon the
+re-centred sum without its common phase. The ``GOLDEN_MOVED`` curve pins,
+with the rest of ``GOLDEN_CURVES_TICKS``, are checked against a rendering
+with magnitudes from `oracles.running_product_array_factor`, a copy of the
+running-product split that the run form replaced. The run-form bytes, like
+every curve pin, depend on numpy's float64 ``np.sin``. On the x86-64 Xeon the
 pins were taken on (AVX-512 available), numpy 2.4.6 does not vectorise it:
 it matched glibc's ``sin`` bit for bit on 200000 random arguments, so the
 pins follow the libm rather than a SIMD kernel.
@@ -78,7 +78,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -89,10 +88,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import direct_array_factor, sincos_array_factor
+from oracles import direct_array_factor, running_product_array_factor, sincos_array_factor
 
 import fdarray
-from fdarray.beampattern import DB_FLOOR, BeampatternCurve, _direct_sum, _split_sum
+from fdarray.beampattern import DB_FLOOR, BeampatternCurve
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep
 from fdarray.files import (
@@ -104,7 +103,7 @@ from fdarray.files import (
     write_spectrum_csv,
     write_sweep_csv,
 )
-from fdarray.geometry import ArrayGeometry, FullDuplexLayout, generate_nested, position_ticks
+from fdarray.geometry import FullDuplexLayout, generate_nested
 from fdarray.si_model import as_matrix, si_matrix
 from fdarray.spectral import svd_spectrum
 
@@ -120,7 +119,7 @@ FULL_SVD = "full-svd:"
 # prefix of the cases that render layout spectra with the complex SVD
 COMPLEX_SVD = "complex-svd:"
 # prefixes of the cases that render beampatterns with an oracle array factor
-# or the production split (and fig2 spectra with the complex SVD); see the docstring
+# (and fig2 spectra with the complex SVD); see the docstring
 DIRECT = "direct:"
 SINCOS = "sincos:"
 SPLIT = "split:"
@@ -239,23 +238,7 @@ def full_svd_sweep_digest(family, rule, workdir) -> str:
     return _sha(out)
 
 
-def split_array_factor(positions, thetas, theta_s):
-    """`array_factor` as computed before the run form: the production
-    baby-step/giant-step `_split_sum` when B + #giant columns < N, else the
-    production `_direct_sum` over the N re-centred ticks, times exp(j*phi*t_0)."""
-    (ticks,), q = position_ticks(ArrayGeometry(positions))
-    t = ticks - ticks[0]
-    span = int(t[-1])
-    step = math.isqrt(span - 1) + 1 if span else 1
-    phi = np.pi * (np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)) / q
-    if step + len(np.unique(t // step)) < len(t):
-        out = _split_sum(t, phi, step)
-    else:
-        out = _direct_sum(t.astype(float), phi)
-    return out * np.exp(1j * phi * float(ticks[0]))
-
-
-CURVE_ORACLES = {DIRECT: direct_array_factor, SINCOS: sincos_array_factor, SPLIT: split_array_factor}
+CURVE_ORACLES = {DIRECT: direct_array_factor, SINCOS: sincos_array_factor, SPLIT: running_product_array_factor}
 
 
 def oracle_curve(factor, geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
@@ -307,8 +290,8 @@ def digests(cases) -> dict:
     """Digests of the named cases: layout names and their complex-SVD
     renderings "complex-svd:<layout>", "family/rule" sweeps and their
     full-SVD renderings "full-svd:family/rule", "beampattern:<layout>" and
-    "fig2", their oracle renderings "direct:..." and "sincos:..." and their
-    production-split renderings "split:..."."""
+    "fig2", and their oracle renderings "direct:...", "sincos:..." and
+    "split:..."."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
@@ -571,7 +554,7 @@ def test_curve_sincos_rendering_matches_golden_bytes(case):
 @pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
 @pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
 def test_curve_split_rendering_matches_golden_bytes(case):
-    """The production split, chosen as before the run form, reproduces the tick-based curve pins
+    """The running-product split reproduces the tick-based curve pins it moved
     (the rendering's fig2 spectra come from the complex SVD, as ``GOLDEN_CURVES_TICKS`` recorded them)."""
     moved = {f: d for f, d in GOLDEN_MOVED.get(case, {}).items() if f not in FIG2_LAPACK_FILES}
     assert child_digests(SPLIT + case) == {**GOLDEN_CURVES_TICKS[case], **moved}
