@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, position_ticks
+from .geometry import ArrayGeometry
 
 DB_FLOOR = -120.0
 # matrix entries per block of angles in `array_factor`: bounds its memory
@@ -108,12 +108,13 @@ def _runs(t: np.ndarray):
 
 def _dirichlet(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``sin(m*pi*v)/sin(pi*v)`` as ``(-1)**(k*(m-1)) * sin(m*pi*y)/sin(pi*y)``,
-    with ``k = round(v)`` and ``y = v - k``; exactly m where y == 0."""
+    with ``k = round(v)`` and ``y = v - k``; exactly m where |y| is zero or
+    subnormal, where the products with pi would lose digits."""
     k = np.rint(v)
     y = v - k
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sin(np.pi * m * y) / np.sin(np.pi * y)
-    out = np.where(y == 0, m, out)
+    out = np.where(np.abs(y) < np.finfo(float).tiny, m, out)
     even = m % 2 == 0
     if even.any():
         out = np.where((k.astype(np.int64) % 2 == 1) & even, -out, out)
@@ -167,7 +168,7 @@ def _sum_at(g: ArrayGeometry, theta, theta_s: float):
     th = np.asarray(theta, dtype=float)
     if np.any(th < -np.pi / 2 - 1e-12) or np.any(th > np.pi / 2 + 1e-12):
         raise ValueError("theta must lie in [-pi/2, pi/2]")
-    (ticks,), denom = position_ticks(g)
+    ticks, denom = g.ticks, g.denom
     u = np.sin(th.ravel()) - math.sin(theta_s)
     phi = np.pi * u / denom
     out, centre = _run_sum(_runs(ticks - ticks[0]), u, phi, denom)

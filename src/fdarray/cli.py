@@ -47,10 +47,8 @@ def cmd_geometry(args) -> int:
 def cmd_si(args) -> int:
     layout = files.load_layout(args.geometry)
     channel = si_model.si_matrix(layout, args.rho)
-    if args.format == "json":
-        files.write_matrix_json(channel, args.output)
-    else:
-        files.write_matrix_csv(channel, args.output)
+    write = files.write_matrix_json if args.format == "json" else files.write_matrix_csv
+    write(channel, args.output)
     return EXIT_OK
 
 
@@ -72,12 +70,7 @@ def cmd_svd(args) -> int:
 def cmd_beampattern(args) -> int:
     layout = files.load_layout(args.geometry)
     geometry = layout.rx if args.side == "rx" else layout.tx
-    curve = beampattern(
-        geometry,
-        theta_s=args.theta_s,
-        grid_size=args.grid_size,
-        normalized=args.normalized,
-    )
+    curve = beampattern(geometry, theta_s=args.theta_s, grid_size=args.grid_size, normalized=args.normalized)
     files.write_curve_csv(curve, args.output)
     return EXIT_OK
 

@@ -102,17 +102,7 @@ def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -
         l_target = rule.target(n)
         layout, params, feasible = build_family_layout(family, n, l_target)
         norm = spectral_norm(si_matrix(layout, rho))
-        rows.append(
-            SweepRow(
-                n=n,
-                family=family,
-                l_target=l_target,
-                l_actual=int(layout.joint_aperture),
-                spectral_norm=norm,
-                params=params,
-                feasible=feasible,
-            )
-        )
+        rows.append(SweepRow(n, family, l_target, int(layout.joint_aperture), norm, params, feasible))
     return SweepResult(family=family, rule=rule, rho=float(rho), rows=tuple(rows))
 
 
@@ -171,14 +161,8 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
     rows = []
     for n in n_values:
         layout, params, _ = build_family_layout("nested", n, target_aperture(n))
-        rows.append(
-            CoarrayScalingRow(
-                n=int(n),
-                contiguous_len=int(sum_coarray(layout).contiguous_len),
-                aperture=int(layout.joint_aperture),
-                **dict(params),
-            )
-        )
+        contiguous_len = int(sum_coarray(layout).contiguous_len)
+        rows.append(CoarrayScalingRow(int(n), contiguous_len, int(layout.joint_aperture), **dict(params)))
     if not rows:
         raise ValueError("n_values must be nonempty")
     slope = loglog_slope([r.n for r in rows], [r.contiguous_len for r in rows])

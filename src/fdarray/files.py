@@ -44,15 +44,10 @@ def _read_text(path) -> str:
 def layout_to_dict(layout: FullDuplexLayout) -> dict:
     """JSON-ready mapping: integer positions stay integers, others decay to float."""
 
-    def num(p: Fraction):
-        return int(p) if p.denominator == 1 else float(p)
+    def numbers(g):  # int / int is correctly rounded, like float(Fraction)
+        return g.ticks.tolist() if g.denom == 1 else [t / g.denom for t in g.ticks.tolist()]
 
-    return {
-        "label": layout.label,
-        "tx": [num(p) for p in layout.tx.positions],
-        "rx": [num(p) for p in layout.rx.positions],
-        "units": GEOMETRY_UNITS,
-    }
+    return {"label": layout.label, "tx": numbers(layout.tx), "rx": numbers(layout.rx), "units": GEOMETRY_UNITS}
 
 
 def layout_from_dict(data: dict) -> FullDuplexLayout:

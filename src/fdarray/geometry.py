@@ -1,14 +1,17 @@
 """Collinear Tx/Rx antenna array geometries on the half-wavelength grid.
 
-Positions are stored as exact rationals (:class:`fractions.Fraction`) so that
-integer-grid layouts yield exact pairwise distances and exact sign patterns
-downstream; floating point enters only when the channel model is evaluated.
+Positions are stored exactly, as int64 ticks over a common denominator, so
+that integer-grid layouts yield exact pairwise distances and exact sign
+patterns downstream; floating point enters only when the channel model is
+evaluated. Ticks stay below 2**62: each side checks its own when it is
+built, and `position_ticks` the joint ones where two sides meet.
 
 `FAMILIES` is the one table of layout families: each row names a
 generator, its parameters and the solver that sizes it to an aperture.
 """
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +30,8 @@ def parse_position(text: str) -> Fraction:
     denominator. An exponent larger in magnitude than the text's length
     plus 62 is rejected without building its power of ten: with a nonzero
     mantissa the value's numerator or denominator would exceed 10**62, past
-    the 2**62 limit of `position_ticks`. So ``1e999999999`` fails at once,
-    and ``0e999999999`` is 0.
+    the 2**62 tick limit. So ``1e999999999`` fails at once, and
+    ``0e999999999`` is 0.
     """
     mantissa, sep, exponent = text.lower().partition("e")
     try:
@@ -45,11 +48,12 @@ def parse_position(text: str) -> Fraction:
         raise ValueError(f"position {text!r} has a zero denominator") from None
 
 
-def _as_fraction(value) -> Fraction:
+def _exact(value) -> int | Fraction:
+    """The exact value of one position or factor: an ``int`` for integers."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return Fraction(int(value))
+        return int(value)
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"antenna position must be finite, got {value!r}")
@@ -59,57 +63,110 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an antenna position")
 
 
-@dataclass(frozen=True)
+def _value(tick, denom: int) -> int | Fraction:
+    return int(tick) if denom == 1 else Fraction(int(tick), denom)
+
+
+def _check_fits(biggest: int, denom: int) -> None:
+    if max(denom, biggest) >= 2**62:
+        raise ValueError(f"positions do not fit int64 ticks: common denominator {denom}, limit 2**62")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ArrayGeometry:
     """Finite set of antenna positions on a line, in units of half a wavelength.
 
-    Positions are normalized to a sorted tuple of distinct ``Fraction`` values.
-    Instances are immutable and safe to share between threads.
+    Stores ``ticks``, a sorted read-only int64 array of distinct values, and
+    ``denom``, the smallest common denominator: position = tick / denom.
+    ``positions`` gives ``int`` values when denom is 1, else ``Fraction``
+    values. Instances are immutable and safe to share between threads.
 
     Parameters
     ----------
     positions : iterable of int, float, str or Fraction
-        Finite antenna positions, not booleans. Duplicates raise ``ValueError``.
+        Finite antenna positions, not booleans. Duplicates, and ticks or a
+        common denominator of 2**62 or more, raise ``ValueError``.
     """
 
-    positions: tuple[Fraction, ...]
+    ticks: np.ndarray
+    denom: int
 
-    def __post_init__(self):
-        pos = tuple(sorted(_as_fraction(p) for p in self.positions))
-        if not pos:
+    def __init__(self, positions):
+        values = [_exact(p) for p in positions]
+        if not values:
             raise ValueError("geometry needs at least one antenna position")
-        for a, b in zip(pos, pos[1:]):
-            if a == b:
-                raise ValueError(f"duplicate antenna position {a}")
-        object.__setattr__(self, "positions", pos)
+        denom = math.lcm(*(v.denominator for v in values))
+        ticks = [v.numerator * (denom // v.denominator) for v in values]
+        _check_fits(max(map(abs, ticks)), denom)
+        ticks = np.sort(np.array(ticks, dtype=np.int64))
+        same = np.flatnonzero(ticks[1:] == ticks[:-1])
+        if same.size:
+            raise ValueError(f"duplicate antenna position {_value(ticks[same[0]], denom)}")
+        _geometry(ticks, denom, self)
+
+    def __eq__(self, other):
+        same = isinstance(other, ArrayGeometry) and self.denom == other.denom
+        return same and np.array_equal(self.ticks, other.ticks)
+
+    def __hash__(self):
+        return hash((self.denom, self.ticks.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.ticks)
 
     def __iter__(self):
         return iter(self.positions)
 
     @property
-    def aperture(self) -> Fraction:
+    def positions(self) -> tuple[int | Fraction, ...]:
+        """The sorted positions: ``int`` values when denom is 1, else ``Fraction`` values."""
+        ticks = self.ticks.tolist()
+        return tuple(ticks) if self.denom == 1 else tuple(Fraction(t, self.denom) for t in ticks)
+
+    @property
+    def aperture(self) -> int | Fraction:
         """max(positions) - min(positions); zero for a single antenna."""
-        return self.positions[-1] - self.positions[0]
+        return _value(self.ticks[-1] - self.ticks[0], self.denom)
 
     @property
     def is_integer(self) -> bool:
         """True when every position sits on the integer half-wavelength grid."""
-        return all(p.denominator == 1 for p in self.positions)
+        return self.denom == 1
 
     def scaled(self, factor) -> "ArrayGeometry":
         """Elementwise scaling ``c * X = {c x}``."""
-        c = _as_fraction(factor)
+        c = _exact(factor)
         if c == 0:
             raise ValueError("scale factor must be nonzero")
-        return ArrayGeometry(tuple(c * p for p in self.positions))
+        return self._mapped(c.numerator, 0, self.denom * c.denominator)
 
     def shifted(self, offset) -> "ArrayGeometry":
         """Elementwise translation ``X + c = {x + c}``."""
-        c = _as_fraction(offset)
-        return ArrayGeometry(tuple(p + c for p in self.positions))
+        c = _exact(offset)
+        return self._mapped(c.denominator, c.numerator * self.denom, self.denom * c.denominator)
+
+    def _mapped(self, a: int, b: int, c: int) -> "ArrayGeometry":
+        """The positions (a*t + b) / c, c > 0, reduced before the new ticks are formed:
+        a*t + b = first + a*(t - t0), so the gcd of c and every a*t + b is
+        gcd(c, first, a*step), with step the gcd of the tick gaps."""
+        t = self.ticks
+        first = a * int(t[0]) + b
+        step = int(np.gcd.reduce(np.diff(t)))
+        g = math.gcd(c, first, a * step)
+        denom, first = c // g, first // g
+        last = first + a * (int(t[-1]) - int(t[0])) // g
+        _check_fits(max(abs(first), abs(last)), denom)
+        ticks = first + (t - t[0]) // max(step, 1) * (a * step // g)
+        return _geometry(ticks[::-1] if a < 0 else ticks, denom)
+
+
+def _geometry(ticks: np.ndarray, denom: int = 1, g: ArrayGeometry | None = None) -> ArrayGeometry:
+    """``g`` (by default a new geometry) set to sorted distinct ticks over a reduced denominator."""
+    g = object.__new__(ArrayGeometry) if g is None else g
+    ticks.setflags(write=False)
+    object.__setattr__(g, "ticks", ticks)
+    object.__setattr__(g, "denom", denom)
+    return g
 
 
 @dataclass(frozen=True)
@@ -139,9 +196,12 @@ class FullDuplexLayout:
                     object.__setattr__(self, name, ArrayGeometry(tuple(g)))
                 except (TypeError, ValueError) as exc:
                     raise type(exc)(f"{name} side: {exc}") from None
-        shared = set(self.tx.positions) & set(self.rx.positions)
-        if shared:
-            at = ", ".join(str(p) for p in sorted(shared))
+        # a shared position's reduced denominator divides q, so it is a whole tick over q on both sides
+        q = math.gcd(self.tx.denom, self.rx.denom)
+        tx, rx = ((s.ticks[s.ticks % (s.denom // q) == 0] // (s.denom // q)) for s in (self.tx, self.rx))
+        shared = np.intersect1d(tx, rx, assume_unique=True)  # sorted and distinct; np.unique imports numpy.ma
+        if shared.size:
+            at = ", ".join(str(_value(t, q)) for t in shared)
             raise ColocatedAntennaError(f"colocated Tx/Rx antenna at position(s) {at}")
 
     @property
@@ -153,11 +213,10 @@ class FullDuplexLayout:
         return len(self.rx)
 
     @property
-    def joint_aperture(self) -> Fraction:
+    def joint_aperture(self) -> int | Fraction:
         """Extent of the union of Tx and Rx positions."""
-        lo = min(self.tx.positions[0], self.rx.positions[0])
-        hi = max(self.tx.positions[-1], self.rx.positions[-1])
-        return hi - lo
+        ends = [_value(s.ticks[i], s.denom) for s in (self.tx, self.rx) for i in (0, -1)]
+        return max(ends) - min(ends)
 
     @property
     def is_integer(self) -> bool:
@@ -170,14 +229,13 @@ def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
     Returns ``(ticks, denom)``: one int64 array per geometry, with
     ``position == tick / denom`` exactly. Raises ValueError, naming the
     denominator, when it or any tick reaches 2**62 (so tick sums and
-    differences fit int64); ticks never wrap.
+    differences fit int64); ticks never wrap. Each geometry checked its own
+    ticks when it was built, so only a joint denominator can fail here.
     """
-    denom = math.lcm(*(p.denominator for g in geometries for p in g.positions))
-    ticks = [[p.numerator * (denom // p.denominator) for p in g.positions] for g in geometries]
-    biggest = max(abs(t) for side in ticks for t in side)
-    if max(denom, biggest) >= 2**62:
-        raise ValueError(f"positions do not fit int64 ticks: common denominator {denom}, limit 2**62")
-    return [np.array(side, dtype=np.int64) for side in ticks], denom
+    denom = math.lcm(*(g.denom for g in geometries))
+    scales = [denom // g.denom for g in geometries]
+    _check_fits(max(max(-int(g.ticks[0]), int(g.ticks[-1])) * s for g, s in zip(geometries, scales)), denom)
+    return [g.ticks * s for g, s in zip(geometries, scales)], denom
 
 
 @dataclass(frozen=True)
@@ -190,6 +248,12 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+def _at_least(minimum: int, **params) -> None:
+    for name, value in params.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def generate_partitioned(n: int, delta1: int = 0) -> FullDuplexLayout:
@@ -207,11 +271,9 @@ def generate_partitioned(n: int, delta1: int = 0) -> FullDuplexLayout:
     FullDuplexLayout
         rx = {0, ..., n-1}, tx = rx + n + delta1; joint aperture 2n-1+delta1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if delta1 < 0:
-        raise ValueError(f"delta1 must be >= 0, got {delta1}")
-    rx = ArrayGeometry(tuple(Fraction(i) for i in range(n)))
+    _at_least(1, n=n)
+    _at_least(0, delta1=delta1)
+    rx = _geometry(np.arange(n, dtype=np.int64))
     tx = rx.shifted(n + delta1)
     return FullDuplexLayout(tx=tx, rx=rx, label=f"partitioned(n={n},delta1={delta1})")
 
@@ -233,11 +295,8 @@ def generate_interleaved(n: int, delta2: int = 1) -> FullDuplexLayout:
         rx = 2*delta2*{0, ..., n-1}, tx = rx + delta2; joint aperture
         delta2*(2n-1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if delta2 < 1:
-        raise ValueError(f"delta2 must be >= 1, got {delta2}")
-    rx = ArrayGeometry(tuple(Fraction(2 * delta2 * i) for i in range(n)))
+    _at_least(1, n=n, delta2=delta2)
+    rx = _geometry(np.arange(n, dtype=np.int64)).scaled(2 * delta2)
     tx = rx.shifted(delta2)
     return FullDuplexLayout(tx=tx, rx=rx, label=f"interleaved(n={n},delta2={delta2})")
 
@@ -256,20 +315,11 @@ def generate_nested(m1: int, m2: int, delta3: int = 1) -> FullDuplexLayout:
     delta3 : int
         Half the sparse-block spacing, >= 1.
     """
-    if m1 < 1:
-        raise ValueError(f"m1 must be >= 1, got {m1}")
-    if m2 < 1:
-        raise ValueError(f"m2 must be >= 1, got {m2}")
-    if delta3 < 1:
-        raise ValueError(f"delta3 must be >= 1, got {delta3}")
-    dense = [Fraction(i) for i in range(m1)]
-    sparse = [Fraction(2 * delta3 * (k + 1) + m1 - 1) for k in range(m2)]
-    rx = ArrayGeometry(tuple(dense + sparse))
-    top = rx.positions[-1]
-    tx = ArrayGeometry(tuple(top - p + m1 - 1 + delta3 for p in rx.positions))
-    return FullDuplexLayout(
-        tx=tx, rx=rx, label=f"nested(m1={m1},m2={m2},delta3={delta3})"
-    )
+    _at_least(1, m1=m1, m2=m2, delta3=delta3)
+    sparse = _geometry(np.arange(1, m2 + 1, dtype=np.int64)).scaled(2 * delta3).shifted(m1 - 1)
+    rx = _geometry(np.concatenate((np.arange(m1, dtype=np.int64), sparse.ticks)))
+    tx = rx.scaled(-1).shifted(int(rx.ticks[-1]) + m1 - 1 + delta3)
+    return FullDuplexLayout(tx=tx, rx=rx, label=f"nested(m1={m1},m2={m2},delta3={delta3})")
 
 
 def validate(tx, rx=None) -> ValidationReport:
@@ -297,49 +347,33 @@ def validate(tx, rx=None) -> ValidationReport:
     """
     if rx is None:
         if not isinstance(tx, FullDuplexLayout):
-            raise TypeError(
-                f"validate takes a FullDuplexLayout alone or tx and rx positions, got {type(tx).__name__} alone"
-            )
+            alone = type(tx).__name__
+            raise TypeError(f"validate takes a FullDuplexLayout alone or tx and rx positions, got {alone} alone")
         tx, rx = tx.tx, tx.rx
 
-    errors = []
-    notes = []
-    sides = []
+    errors, sides = [], {}
     for name, side in (("tx", tx), ("rx", rx)):
         values = list(side.positions if isinstance(side, ArrayGeometry) else side)
         if not values:
             errors.append(f"{name} side has no antennas")
-        pos = []
+        sides[name] = []
         for value in values:
             try:
-                pos.append(_as_fraction(value))
+                sides[name].append(_exact(value))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 errors.append(f"{name} position {value!r} is not a number: {exc}")
-        sides.append((name, pos))
-    (_, tx_pos), (_, rx_pos) = sides
-
-    for name, pos in sides:
-        seen, dups = set(), set()
-        for p in pos:
-            if p in seen:
-                dups.add(p)
-            seen.add(p)
+    for name, pos in sides.items():
+        dups = sorted(p for p, count in Counter(pos).items() if count > 1)
         if dups:
-            errors.append(
-                f"duplicate {name} position(s): {', '.join(map(str, sorted(dups)))}"
-            )
-
+            errors.append(f"duplicate {name} position(s): {', '.join(map(str, dups))}")
+    tx_pos, rx_pos = sides.values()
     shared = sorted(set(tx_pos) & set(rx_pos))
     if shared:
-        errors.append(
-            "colocated Tx/Rx pair at " + ", ".join(str(p) for p in shared)
-        )
-    if not errors:
-        notes.append(
-            f"{len(tx_pos)} tx / {len(rx_pos)} rx antennas, joint aperture "
-            f"{max(max(tx_pos), max(rx_pos)) - min(min(tx_pos), min(rx_pos))}"
-        )
-    return ValidationReport(errors=tuple(errors), notes=tuple(notes))
+        errors.append("colocated Tx/Rx pair at " + ", ".join(map(str, shared)))
+    if errors:
+        return ValidationReport(errors=tuple(errors))
+    aperture = max(tx_pos + rx_pos) - min(tx_pos + rx_pos)
+    return ValidationReport(notes=(f"{len(tx_pos)} tx / {len(rx_pos)} rx antennas, joint aperture {aperture}",))
 
 
 def solve_partitioned_gap(n: int, l_target: float) -> tuple[int, bool]:
@@ -419,13 +453,10 @@ def build_family_layout(family: str, n: int, l_target: float):
 def ascii_sketch(layout: FullDuplexLayout, max_width: int = 160) -> str:
     """One-line picture of an integer-grid layout ('R'/'T' marks, '.' gaps)."""
     if not layout.is_integer or layout.joint_aperture > max_width:
-        tx = ",".join(str(p) for p in layout.tx.positions)
-        rx = ",".join(str(p) for p in layout.rx.positions)
+        tx, rx = (",".join(map(str, g.positions)) for g in (layout.tx, layout.rx))
         return f"rx=[{rx}] tx=[{tx}]"
-    lo = min(layout.tx.positions[0], layout.rx.positions[0])
-    cells = ["."] * (int(layout.joint_aperture) + 1)
-    for p in layout.rx.positions:
-        cells[int(p - lo)] = "R"
-    for p in layout.tx.positions:
-        cells[int(p - lo)] = "T"
+    lo = min(layout.tx.ticks[0], layout.rx.ticks[0])
+    cells = np.full(layout.joint_aperture + 1, ".")
+    cells[layout.rx.ticks - lo] = "R"
+    cells[layout.tx.ticks - lo] = "T"
     return "".join(cells)

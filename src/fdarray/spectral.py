@@ -82,11 +82,7 @@ def svd_spectrum(h) -> SingularSpectrum:
     recon_error = float(np.max(np.abs(arr - (u * s) @ vh)))
     sigmas = np.asarray(s, dtype=float)
     sigmas.setflags(write=False)
-    return SingularSpectrum(
-        sigmas=sigmas,
-        frob=float(np.linalg.norm(arr)),
-        recon_error=recon_error,
-    )
+    return SingularSpectrum(sigmas=sigmas, frob=float(np.linalg.norm(arr)), recon_error=recon_error)
 
 
 def spectral_norm(h) -> float:

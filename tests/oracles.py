@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's own code paths: singular values come
 from closed-form characteristic-polynomial roots, co-arrays from a direct
-pair enumeration, matrix files from formatting every cell on its own. They
-exist so the main implementations are checked against something that
-cannot share their bugs.
+pair enumeration, matrix files from formatting every cell on its own,
+geometries from per-position ``Fraction`` arithmetic. They exist so the
+main implementations are checked against something that cannot share their
+bugs.
 """
 
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +58,57 @@ def singular_values_3x3(a) -> tuple[float, float, float]:
     return tuple(sigmas)
 
 
+class FractionGeometry:
+    """A set of antenna positions as a sorted tuple of distinct ``Fraction`` values.
+
+    Every operation works position by position in exact rational
+    arithmetic, with no common denominator and no integer ticks. Positions
+    are given as int, "p/q" text, float or Fraction.
+    """
+
+    def __init__(self, positions):
+        values = sorted(Fraction(p) for p in positions)
+        if not values:
+            raise ValueError("geometry needs at least one antenna position")
+        repeated = sorted(p for p, count in Counter(values).items() if count > 1)
+        if repeated:
+            raise ValueError(f"duplicate antenna position {repeated[0]}")
+        self.positions = tuple(values)
+
+    @property
+    def aperture(self) -> Fraction:
+        return self.positions[-1] - self.positions[0]
+
+    @property
+    def is_integer(self) -> bool:
+        return all(p.denominator == 1 for p in self.positions)
+
+    @property
+    def denominator(self) -> int:
+        """The smallest denominator that puts every position on an integer tick."""
+        return math.lcm(*(p.denominator for p in self.positions))
+
+    def shifted(self, offset) -> "FractionGeometry":
+        return FractionGeometry(p + Fraction(offset) for p in self.positions)
+
+    def scaled(self, factor) -> "FractionGeometry":
+        return FractionGeometry(p * Fraction(factor) for p in self.positions)
+
+
+def joint_aperture(tx: FractionGeometry, rx: FractionGeometry) -> Fraction:
+    """Extent of the union of two reference geometries."""
+    both = tx.positions + rx.positions
+    return max(both) - min(both)
+
+
+def colocation_message(tx: FractionGeometry, rx: FractionGeometry) -> str | None:
+    """The error text of a layout whose sides share positions; None when they share none."""
+    shared = sorted(set(tx.positions) & set(rx.positions))
+    if not shared:
+        return None
+    return "colocated Tx/Rx antenna at position(s) " + ", ".join(map(str, shared))
+
+
 def enumerate_sum_coarray(tx_positions, rx_positions):
     """(sorted distinct sums, multiplicity list, longest consecutive run).
 
@@ -85,6 +138,28 @@ def direct_array_factor(positions, thetas, theta_s):
     x = np.array([float(p) for p in positions], dtype=float)
     u = np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)
     return np.exp(1j * np.pi * np.multiply.outer(u, x)).sum(axis=-1)
+
+
+def longdouble_array_factor(positions, thetas, theta_s, block_entries=2**20):
+    """|sum_n exp(j*pi*(x_n - x_0)*u)| summed in extended precision.
+
+    u = sin(theta) - sin(theta_s) is the float64 value the library uses.
+    Everything after it is taken in ``np.longdouble`` (64 mantissa bits on
+    x86-64): pi, the exact offsets x_n - x_0, the phases, their cosines and
+    sines and the sums. So the result differs from a float64 evaluation of
+    the same formula at the same u by that evaluation's own rounding.
+    """
+    x = [Fraction(p - positions[0]) for p in positions]
+    offsets = np.array([p.numerator for p in x], dtype=np.longdouble)
+    offsets /= np.array([p.denominator for p in x], dtype=np.longdouble)
+    u = (np.sin(np.asarray(thetas, dtype=float)) - math.sin(theta_s)).astype(np.longdouble)
+    pi = 4 * np.arctan(np.longdouble(1))
+    out = np.empty(u.shape, dtype=float)
+    rows = max(1, block_entries // len(offsets))
+    for lo in range(0, len(u), rows):
+        phase = pi * np.multiply.outer(u[lo:lo + rows], offsets)
+        out[lo:lo + rows] = np.hypot(np.cos(phase).sum(axis=-1), np.sin(phase).sum(axis=-1))
+    return out
 
 
 def sincos_array_factor(positions, thetas, theta_s, block_entries=2**18):

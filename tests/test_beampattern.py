@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_array_factor
+from oracles import longdouble_array_factor
 from test_properties import rational_layouts
 
 from fdarray.beampattern import (
@@ -48,6 +48,13 @@ def test_array_factor_coherent_sum_at_steering_angle():
         for theta_s in (0.0, 0.4, -1.0):
             val = array_factor(g, theta_s, theta_s)
             assert abs(val - n) < 1e-12
+
+
+def test_array_factor_at_a_subnormal_offset_is_the_element_count():
+    # u = sin(0) - sin(5e-324) is subnormal: pi*u and m*pi*u round to a few
+    # subnormal steps, and their ratio read 13/3 for m = 4
+    for n, spacing in ((4, 2), (7, 1), (8, 3)):
+        assert abs(array_factor(ula(n, spacing), 0.0, 5e-324)) == n
 
 
 def test_array_factor_grating_condition():
@@ -182,16 +189,21 @@ def test_curve_csv(tmp_path):
 
 # --- accuracy against the re-centred direct sum ------------------------------
 #
-# Every check below compares against `oracles.direct_array_factor` on the
-# positions minus the first one (exact rational subtraction, then float), or
-# against a lobe scan written here, never against the code under test.
+# Every check below compares against `oracles.longdouble_array_factor`, the
+# direct sum over the positions minus the first one (exact rational
+# subtraction) taken in long double at the same float64 u, or against a lobe
+# scan written here, never against the code under test. The float64 direct
+# sum (`oracles.direct_array_factor`) is no such reference: it is off by up to
+# 2.05e-11*N on the quadratic-rule cases at N = 1400, and by 0.32e-11*N on a
+# 110-antenna progression union on which the run form is off by 0.68e-11*N,
+# so the two differ by more than 1e-11*N although both are within it.
 
 ACCURACY_THETAS = np.linspace(-np.pi / 2, np.pi / 2, 4096)
 
 
 def assert_matches_recentred_sum(g, thetas, theta_s):
     got = np.abs(array_factor(g, thetas, theta_s))
-    want = np.abs(direct_array_factor([p - g.positions[0] for p in g.positions], thetas, theta_s))
+    want = longdouble_array_factor(g.positions, thetas, theta_s)
     assert np.max(np.abs(got - want)) <= 1e-11 * len(g)
 
 
@@ -217,10 +229,10 @@ def test_array_factor_matches_recentred_sum_on_analyze_layouts(g, theta_s):
 
 
 @pytest.mark.parametrize("family", ["interleaved", "nested"])
-@pytest.mark.parametrize("n", [60, 200, 300])
+@pytest.mark.parametrize("n", [60, 200, 300, 600, 1000, 1400])
 def test_array_factor_matches_recentred_sum_under_quadratic_rule(family, n):
-    # spans near N**2/4: from N = 200 (nested) or 60 (interleaved) on, the
-    # baby-step/giant-step split saves nothing and the distinct ticks are summed directly
+    # spans near N**2/4; each side is one uniform run (interleaved) or two
+    # (nested), so it is summed as one or two Dirichlet kernels
     layout = build_family_layout(family, n, ApertureRule(kind="quadratic").target(n))[0]
     assert_matches_recentred_sum(layout.tx.shifted(987654), ACCURACY_THETAS, 0.3)
 
@@ -330,7 +342,7 @@ def test_array_factor_matches_recentred_sum_on_progression_unions(g, theta_s):
     curve = beampattern(g, theta_s, grid_size=257)
     assert_matches_recentred_sum(g, curve.thetas, theta_s)
     # beampattern's magnitudes, read back from dB; samples clamped at the floor lie below it
-    want = np.abs(direct_array_factor([p - g.positions[0] for p in g.positions], curve.thetas, theta_s))
+    want = longdouble_array_factor(g.positions, curve.thetas, theta_s)
     floor = curve.gains_db <= DB_FLOOR
     got = 10.0 ** (curve.gains_db / 20.0)
     assert np.max(np.abs(got - want)[~floor], initial=0.0) <= 1e-11 * len(g)
