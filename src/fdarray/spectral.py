@@ -27,7 +27,9 @@ class SingularSpectrum:
         Frobenius norm of the source matrix (sum of sigmas**2 equals
         frob**2 up to rounding).
     recon_error : float
-        Max-abs residual of the factored reconstruction U S V*.
+        |norm(sigmas) - frob|, the residual the values alone support: a lower
+        bound on the Frobenius norm of the backward error. The spectrum is
+        computed without U and V, so no factored reconstruction is checked.
     """
 
     sigmas: np.ndarray
@@ -62,11 +64,25 @@ def _as_matrix(h) -> np.ndarray:
     return arr
 
 
+def _singular_values(arr: np.ndarray) -> np.ndarray:
+    """Descending singular values of a `_as_matrix` array, without U or V.
+
+    A matrix with at most one nonzero per row and per column (diagonal,
+    scaled permutation, zero) has its absolute entries as singular values,
+    returned exactly; a dense first row rules that out in O(N).
+    """
+    if np.count_nonzero(arr[0]) <= 1 and all(((arr != 0).sum(axis=k) <= 1).all() for k in (0, 1)):
+        return np.sort(np.abs(arr).max(axis=int(arr.shape[0] <= arr.shape[1])))[::-1]
+    return np.linalg.svd(arr, compute_uv=False)
+
+
 def svd_spectrum(h) -> SingularSpectrum:
     """Full singular spectrum of a matrix.
 
-    A matrix whose entries are all exactly real, as on every integer-grid
-    layout, is factored in real arithmetic.
+    Computes singular values only, by the same call as `spectral_norm`, so
+    ``sigmas[0]`` equals its σ₁ bit for bit. A matrix whose entries are all
+    exactly real, as on every integer-grid layout, is decomposed in real
+    arithmetic.
 
     Parameters
     ----------
@@ -78,11 +94,10 @@ def svd_spectrum(h) -> SingularSpectrum:
         On an empty matrix or non-finite entries.
     """
     arr = _as_matrix(h)
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    recon_error = float(np.max(np.abs(arr - (u * s) @ vh)))
-    sigmas = np.asarray(s, dtype=float)
+    sigmas = _singular_values(arr)
     sigmas.setflags(write=False)
-    return SingularSpectrum(sigmas=sigmas, frob=float(np.linalg.norm(arr)), recon_error=recon_error)
+    frob = float(np.linalg.norm(arr))
+    return SingularSpectrum(sigmas=sigmas, frob=frob, recon_error=abs(float(np.linalg.norm(sigmas)) - frob))
 
 
 def spectral_norm(h) -> float:
@@ -97,7 +112,7 @@ def spectral_norm(h) -> float:
     ValueError
         On an empty matrix or non-finite entries.
     """
-    return float(np.linalg.svd(_as_matrix(h), compute_uv=False)[0])
+    return float(_singular_values(_as_matrix(h))[0])
 
 
 def effective_rank(spec: SingularSpectrum, eps: float) -> int:

@@ -58,6 +58,20 @@ def singular_values_3x3(a) -> tuple[float, float, float]:
     return tuple(sigmas)
 
 
+def factored_svd(a):
+    """U, S, V* of LAPACK's full factorisation of a matrix, S descending.
+
+    An exactly real matrix (every imaginary part zero) is factored in real
+    arithmetic, any other in complex arithmetic. Unlike a values-only call,
+    the factors let a test check the reconstruction U S V* against ``a``.
+    """
+    a = np.asarray(a)
+    a = a.astype(float if a.dtype.kind in "biuf" else complex)
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    return np.linalg.svd(a, full_matrices=False)
+
+
 class FractionGeometry:
     """A set of antenna positions as a sorted tuple of distinct ``Fraction`` values.
 

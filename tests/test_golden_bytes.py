@@ -46,6 +46,17 @@ re-centred direct sum.
 `svd_spectrum` and the running-product phases moved; every other file keeps
 its pin in ``GOLDEN``, ``GOLDEN_CURVES_TICKS`` or ``GOLDEN_SWEEP``.
 
+``GOLDEN_VALUES`` pins the CLI bytes of the spectrum files that the
+values-only `svd_spectrum` moved: the ``svd`` outputs of every layout and the
+three ``fig2`` spectra. `svd_spectrum` used to compute U and V and report
+the max-abs residual of U S V*; it now takes its values from the same
+values-only LAPACK call as `spectral_norm`, and they move in their last
+digits. The ``GOLDEN`` and ``GOLDEN_MOVED`` spectrum pins are checked
+against a rendering whose spectra come from the full U, S, V* factorisation
+that `svd_spectrum` ran before (`oracles.factored_svd`, real arithmetic on
+exactly real matrices); `tests/test_spectral.py` holds the values to
+1e-12·σ₁ of that factorisation's.
+
 ``GOLDEN_RUNS`` pins the CLI bytes of the curve files that the run form of
 `array_factor` moved: every ``beampattern`` CSV and the three ``fig2``
 beampattern CSVs. Each side of these layouts is now a sum of one or two
@@ -88,7 +99,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import direct_array_factor, running_product_array_factor, sincos_array_factor
+from oracles import direct_array_factor, factored_svd, running_product_array_factor, sincos_array_factor
 
 import fdarray
 from fdarray.beampattern import DB_FLOOR, BeampatternCurve
@@ -116,8 +127,10 @@ SWEEP_RHO = "0.61"
 SWEEP_NS = range(10, 201, 10)
 # prefix of the case that renders a sweep with full-SVD sigma1 (see the docstring)
 FULL_SVD = "full-svd:"
-# prefix of the cases that render layout spectra with the complex SVD
+# prefixes of the cases that render layout spectra with the complex SVD and
+# with the full factorisation; the latter also renders the fig2 spectra
 COMPLEX_SVD = "complex-svd:"
+FACTORED_SVD = "factored-svd:"
 # prefixes of the cases that render beampatterns with an oracle array factor
 # (and fig2 spectra with the complex SVD); see the docstring
 DIRECT = "direct:"
@@ -186,21 +199,27 @@ def complex_svd_spectrum(matrix):
     return dataclasses.replace(svd_spectrum(matrix), sigmas=sigmas)
 
 
-def layout_digests(name, workdir, complex_svd=False) -> dict:
+def factored_svd_spectrum(matrix):
+    """`svd_spectrum` with the singular values of the full U, S, V*
+    factorisation, in real arithmetic on an exactly real matrix."""
+    return dataclasses.replace(svd_spectrum(matrix), sigmas=factored_svd(as_matrix(matrix))[1])
+
+
+def layout_digests(name, workdir, spectrum=None) -> dict:
     """Digests of the si (CSV, JSON), svd and coarray outputs of one layout;
-    with ``complex_svd`` the svd outputs are `complex_svd_spectrum` renderings."""
+    with a ``spectrum`` function the svd outputs are its renderings."""
     d = Path(workdir)
     geo = d / "geometry.json"
     LAYOUTS[name](geo)
     _run(["si", "--geometry", geo, "--rho", RHO, "--format", "csv", "-o", d / "si.csv"])
     _run(["si", "--geometry", geo, "--rho", RHO, "--format", "json", "-o", d / "si.json"])
-    if complex_svd:
+    if spectrum:
         for f, matrix in (
             ("svd_geometry.csv", si_matrix(load_layout(geo), float(RHO))),
             ("svd_matrix_csv.csv", load_matrix_csv(d / "si.csv")),
             ("svd_matrix_json.csv", load_matrix_json(d / "si.json")),
         ):
-            write_spectrum_csv(complex_svd_spectrum(matrix), d / f)
+            write_spectrum_csv(spectrum(matrix), d / f)
     else:
         _run(["svd", "--geometry", geo, "--rho", RHO, "-o", d / "svd_geometry.csv"])
         _run(["svd", "--matrix", d / "si.csv", "-o", d / "svd_matrix_csv.csv"])
@@ -271,18 +290,20 @@ def beampattern_digests(name, workdir, factor=None) -> dict:
     return {f: _sha(d / f) for f in BP_RUNS}
 
 
-def fig2_digests(workdir, factor=None) -> dict:
+def fig2_digests(workdir, factor=None, spectrum=None) -> dict:
     """Digests of the CLI `fig2` bundle; with an oracle array factor
     ``factor`` its beampattern CSVs are replaced by renderings with it and
-    its spectra by `complex_svd_spectrum` renderings."""
+    its spectra by `complex_svd_spectrum` renderings, and with a
+    ``spectrum`` function its spectra alone by that function's renderings."""
     d = Path(workdir) / "bundle"
     with contextlib.redirect_stdout(io.StringIO()):  # fig2 lists the files it wrote
         _run(["fig2", "-o", d])
-    if factor:
+    if factor or spectrum:
         study = fig2_study()
         for fam, layout in study.layouts.items():
-            write_curve_csv(oracle_curve(factor, layout.rx, 0.0, False), d / f"beampattern_{fam}.csv")
-            write_spectrum_csv(complex_svd_spectrum(si_matrix(layout, study.rho)), d / f"spectrum_{fam}.csv")
+            if factor:
+                write_curve_csv(oracle_curve(factor, layout.rx, 0.0, False), d / f"beampattern_{fam}.csv")
+            write_spectrum_csv((spectrum or complex_svd_spectrum)(si_matrix(layout, study.rho)), d / f"spectrum_{fam}.csv")
     return {p.name: _sha(p) for p in sorted(d.iterdir())}
 
 
@@ -290,8 +311,9 @@ def digests(cases) -> dict:
     """Digests of the named cases: layout names and their complex-SVD
     renderings "complex-svd:<layout>", "family/rule" sweeps and their
     full-SVD renderings "full-svd:family/rule", "beampattern:<layout>" and
-    "fig2", and their oracle renderings "direct:...", "sincos:..." and
-    "split:..."."""
+    "fig2", their oracle renderings "direct:...", "sincos:..." and
+    "split:...", and the full-factorisation spectrum renderings
+    "factored-svd:<layout>" and "factored-svd:fig2"."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
@@ -300,14 +322,18 @@ def digests(cases) -> dict:
             prefix = next((pre for pre in CURVE_ORACLES if case.startswith(pre)), "")
             factor = CURVE_ORACLES.get(prefix)
             base = case[len(prefix):]
-            if base == FIG2:
+            if case == FACTORED_SVD + FIG2:
+                out[case] = fig2_digests(sub, spectrum=factored_svd_spectrum)
+            elif base == FIG2:
                 out[case] = fig2_digests(sub, factor)
             elif base.startswith(BEAMPATTERN):
                 out[case] = beampattern_digests(base[len(BEAMPATTERN):], sub, factor)
             elif case in LAYOUTS:
                 out[case] = layout_digests(case, sub)
             elif case.startswith(COMPLEX_SVD):
-                out[case] = layout_digests(case[len(COMPLEX_SVD):], sub, complex_svd=True)
+                out[case] = layout_digests(case[len(COMPLEX_SVD):], sub, complex_svd_spectrum)
+            elif case.startswith(FACTORED_SVD):
+                out[case] = layout_digests(case[len(FACTORED_SVD):], sub, factored_svd_spectrum)
             elif case.startswith(FULL_SVD):
                 out[case] = full_svd_sweep_digest(*case[len(FULL_SVD):].split("/"), sub)
             else:
@@ -505,9 +531,39 @@ GOLDEN_RUNS = {
 }
 
 
+# CLI bytes of the spectrum files that the values-only `svd_spectrum` moved (see the docstring).
+GOLDEN_VALUES = {
+    "nested_half_integer": {
+        "svd_geometry.csv": "be484dc855413ab5d52d3e85830ee2a142c6f034fa9144dd1336111ff6e2846e",
+        "svd_matrix_csv.csv": "be484dc855413ab5d52d3e85830ee2a142c6f034fa9144dd1336111ff6e2846e",
+        "svd_matrix_json.csv": "be484dc855413ab5d52d3e85830ee2a142c6f034fa9144dd1336111ff6e2846e",
+    },
+    "nested_integer": {
+        "svd_geometry.csv": "b58c3b8bbb3bd770012be657d193c23b485ca5cb7bd47aca8e78ed015da7d9df",
+        "svd_matrix_csv.csv": "b58c3b8bbb3bd770012be657d193c23b485ca5cb7bd47aca8e78ed015da7d9df",
+        "svd_matrix_json.csv": "b58c3b8bbb3bd770012be657d193c23b485ca5cb7bd47aca8e78ed015da7d9df",
+    },
+    "nested_thirds_exact": {
+        "svd_geometry.csv": "0458692b8ae92f15f0d99649c1f22a25e74f158998be4aedc017c65bd4425e82",
+        "svd_matrix_csv.csv": "0458692b8ae92f15f0d99649c1f22a25e74f158998be4aedc017c65bd4425e82",
+        "svd_matrix_json.csv": "0458692b8ae92f15f0d99649c1f22a25e74f158998be4aedc017c65bd4425e82",
+    },
+    "nested_thirds_roundtrip": {
+        "svd_geometry.csv": "ff93f7231693e5e2567e14189116d25abea0babd4e1761bbb074f79327a43065",
+        "svd_matrix_csv.csv": "ff93f7231693e5e2567e14189116d25abea0babd4e1761bbb074f79327a43065",
+        "svd_matrix_json.csv": "ff93f7231693e5e2567e14189116d25abea0babd4e1761bbb074f79327a43065",
+    },
+    "fig2": {
+        "spectrum_interleaved.csv": "0f990719e883b21bcb9457e115c9fe5d5eadca3de0c93a6d3f7476ac46731a6d",
+        "spectrum_nested.csv": "2b56e70bf8b0aedae7831ec6abf9664bd5fa5290de1ddcd20458bea8327ce77f",
+        "spectrum_partitioned.csv": "81e83c93f1e8ff062c19a637acad737afcb58c6f68abec92eed5ae0847241f11",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_layout_outputs_match_golden_bytes(name):
-    got, want = child_digests(name), {**GOLDEN[name], **GOLDEN_MOVED.get(name, {})}
+    got, want = child_digests(name), {**GOLDEN[name], **GOLDEN_MOVED.get(name, {}), **GOLDEN_VALUES[name]}
     if not LAPACK_PINNED:
         got, want = ({k: v for k, v in d.items() if k not in LAPACK_FILES} for d in (got, want))
     assert got == want
@@ -517,6 +573,16 @@ def test_layout_outputs_match_golden_bytes(name):
 def test_layout_complex_svd_rendering_matches_golden_bytes(name):
     """The complex-SVD rendering reproduces the bytes the layout pins recorded."""
     got, want = child_digests(COMPLEX_SVD + name), GOLDEN[name]
+    if not LAPACK_PINNED:
+        got, want = ({k: v for k, v in d.items() if k not in LAPACK_FILES} for d in (got, want))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_layout_factored_svd_rendering_matches_golden_bytes(name):
+    """The full-factorisation rendering reproduces the bytes the layout pins recorded
+    before `svd_spectrum` took values only."""
+    got, want = child_digests(FACTORED_SVD + name), {**GOLDEN[name], **GOLDEN_MOVED.get(name, {})}
     if not LAPACK_PINNED:
         got, want = ({k: v for k, v in d.items() if k not in LAPACK_FILES} for d in (got, want))
     assert got == want
@@ -563,8 +629,16 @@ def test_curve_split_rendering_matches_golden_bytes(case):
 @pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
 @pytest.mark.parametrize("case", sorted(GOLDEN_CURVES_TICKS))
 def test_curve_cli_output_matches_golden_bytes(case):
-    want = {**GOLDEN_CURVES_TICKS[case], **GOLDEN_MOVED.get(case, {}), **GOLDEN_RUNS[case]}
+    want = {**GOLDEN_CURVES_TICKS[case], **GOLDEN_MOVED.get(case, {}), **GOLDEN_RUNS[case], **GOLDEN_VALUES.get(case, {})}
     assert child_digests(case) == want
+
+
+@pytest.mark.skipif(not LAPACK_PINNED, reason="curve pins were recorded with numpy 2.4.6's OpenBLAS")
+def test_fig2_factored_svd_rendering_matches_golden_bytes():
+    """The full-factorisation rendering reproduces the fig2 bytes pinned before
+    `svd_spectrum` took values only."""
+    want = {**GOLDEN_CURVES_TICKS[FIG2], **GOLDEN_MOVED[FIG2], **GOLDEN_RUNS[FIG2]}
+    assert child_digests(FACTORED_SVD + FIG2) == want
 
 
 def test_sweep_sigma1_agrees_with_full_svd():
@@ -578,10 +652,10 @@ def test_sweep_sigma1_agrees_with_full_svd():
 
 
 if __name__ == "__main__":
-    layouts = [f"{pre}{name}" for pre in ("", COMPLEX_SVD) for name in sorted(LAYOUTS)]
+    layouts = [f"{pre}{name}" for pre in ("", COMPLEX_SVD, FACTORED_SVD) for name in sorted(LAYOUTS)]
     sweeps = [f"{pre}{fam}/{rule}" for pre in ("", FULL_SVD) for fam, rule in SWEEPS]
     curve_cases = [BEAMPATTERN + n for n in BP_LAYOUTS] + [FIG2]
-    curves = [f"{pre}{case}" for pre in ("", DIRECT, SINCOS, SPLIT) for case in curve_cases]
+    curves = [f"{pre}{case}" for pre in ("", DIRECT, SINCOS, SPLIT) for case in curve_cases] + [FACTORED_SVD + FIG2]
     cases = sys.argv[1:] or layouts + sweeps + curves
     json.dump(digests(cases), sys.stdout, indent=4)
     print()

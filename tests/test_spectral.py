@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import singular_values_2x2, singular_values_3x3
+from oracles import factored_svd, singular_values_2x2, singular_values_3x3
 from test_properties import rational_layouts
 
 from fractions import Fraction
@@ -268,3 +268,53 @@ def test_exactly_real_channels_are_factored_in_real_arithmetic(monkeypatch):
     want = svd_spectrum(real.real.copy()).sigmas
     for same in (real, real.real.tolist()):
         assert np.array_equal(svd_spectrum(same).sigmas, want)
+
+
+@pytest.mark.parametrize(
+    "h, want",
+    [
+        (np.diag([3.0, -2.0]), [3.0, 2.0]),
+        ([[0.0, -5.0], [2.0, 0.0]], [5.0, 2.0]),
+        ([[0.0, 1.5], [0.0, 0.0], [-4.0, 0.0]], [4.0, 1.5]),
+        ([[0.0, 3 + 4j], [-2j, 0.0]], [5.0, 2.0]),
+        (np.zeros((3, 4)), [0.0, 0.0, 0.0]),
+    ],
+    ids=["diagonal", "scaled-permutation", "zero-row", "complex-permutation", "zero"],
+)
+def test_one_nonzero_per_row_and_column_gives_exact_singular_values(h, want):
+    assert svd_spectrum(h).sigmas.tolist() == want
+    assert spectral_norm(h) == want[0]
+
+
+@pytest.mark.parametrize("n", [10, 100, 300])
+def test_spectral_norm_is_the_spectrum_sigma1_bit_for_bit(n):
+    layouts = []
+    for fam in ("partitioned", "interleaved", "nested"):
+        for rule in ("linear", "quadratic"):
+            layouts.append(build_family_layout(fam, n, ApertureRule(kind=rule).target(n))[0])
+    nested = layouts[-2]  # linear rule, as the analyze workload scales it
+    layouts.append(FullDuplexLayout(tx=nested.tx.scaled(Fraction(1, 3)), rx=nested.rx.scaled(Fraction(1, 3))))
+    for layout in layouts:
+        h = si_matrix(layout, 0.61)
+        assert spectral_norm(h) == svd_spectrum(h).sigmas[0]
+
+
+@pytest.mark.parametrize("h", spectrum_channels())
+def test_svd_spectrum_matches_factored_reference(h):
+    u, s, vh = factored_svd(h)
+    assert np.max(np.abs(h - (u * s) @ vh)) <= 1e-12 * s[0]
+    assert np.max(np.abs(svd_spectrum(h).sigmas - s)) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("h", spectrum_channels())
+def test_recon_error_flags_a_perturbed_sigma1(h, monkeypatch):
+    svd = np.linalg.svd
+
+    def skewed_svd(a, *args, **kwargs):
+        s = svd(a, *args, **kwargs).copy()
+        s[0] *= 1 + 1e-6
+        return s
+
+    monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+    spec = svd_spectrum(h)
+    assert spec.recon_error > 1e-9 * spec.sigmas[0]
