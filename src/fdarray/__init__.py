@@ -61,14 +61,12 @@ from .si_model import (
     SIChannelMatrix,
     distance_matrix,
     is_toeplitz,
-    si_leakage,
     si_matrix,
     sign_pattern,
 )
 from .spectral import (
     SingularSpectrum,
     effective_rank,
-    interleaved_closed_form_n2,
     spectral_norm,
     svd_spectrum,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "generate_nested",
     "generate_partitioned",
     "grating_lobes",
-    "interleaved_closed_form_n2",
     "is_toeplitz",
     "layout_from_dict",
     "layout_to_dict",
@@ -115,7 +112,6 @@ __all__ = [
     "partitioned_rank1_gap",
     "save_layout",
     "scaling_sweep",
-    "si_leakage",
     "si_matrix",
     "sign_pattern",
     "spectral_norm",

@@ -324,6 +324,8 @@ def grating_lobes(curve: BeampatternCurve, tol_db: float = 0.5) -> list[float]:
     A nonempty result means the pattern is ambiguous: some off-steering
     direction is received (or radiated) at essentially main-lobe gain.
     """
+    if not tol_db >= 0:
+        raise ValueError(f"tol_db must be >= 0, got {tol_db}")
     db = curve.gains_db
     th = curve.thetas
     if len(db) < 3:

@@ -215,13 +215,24 @@ def write_matrix_json(matrix, path) -> None:
 
 
 def load_matrix_json(path) -> np.ndarray:
-    """Load a complex matrix from nested [re, im] JSON arrays."""
-    data = json.loads(_read_text(path))
+    """Load a complex matrix from nested [re, im] JSON arrays.
+
+    Every cell must be a two-element list of numbers, not bools; any other
+    cell raises ValueError naming the file.
+    """
+    text = _read_text(path)
+    data = json.loads(text)
+    # unpacking takes two items and complex(re, im) rejects every non-number
+    # but a bool, which JSON spells true or false
+    bools = "true" in text or "false" in text
+    del text  # not held while the rows are built
     try:
-        rows = [[complex(c[0], c[1]) for c in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        if bools:
+            raise TypeError("a cell holds true or false, not a number")
+        rows = [[complex(re, im) for re, im in row] for row in data]
+        return as_matrix(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document in {path}: {exc}") from exc
-    return as_matrix(rows)
 
 
 def write_spectrum_csv(spec: SingularSpectrum, path) -> None:

@@ -4,12 +4,11 @@ The channel entry for Rx antenna n and Tx antenna m at distance d (in
 half-wavelength units) is ``rho * exp(j*pi*d) / d``, with d held exactly as
 int64 ticks over the layout's common denominator. On the integer grid the
 phase factor collapses to an exact sign (-1)**d, read from the tick parity,
-so integer-grid channels are exactly real with exact signs.
+so integer-grid channels are float64 matrices with exact signs.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,15 +31,6 @@ class DistanceMatrix:
     def shape(self) -> tuple[int, int]:
         return self.ticks.shape
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Distances as nested tuples of ``Fraction`` (built on each access)."""
-        return tuple(tuple(Fraction(t, self.denom) for t in row) for row in self.ticks.tolist())
-
-    @property
-    def is_integer(self) -> bool:
-        return not np.any(self.ticks % self.denom)
-
     def to_array(self) -> np.ndarray:
         """Distances as a float64 matrix, each rounded like ``float(Fraction)``."""
         d, q = self.ticks, self.denom
@@ -51,7 +41,7 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class SIChannelMatrix:
-    """Dense complex self-interference channel with its exact distance matrix."""
+    """Self-interference channel, float64 on the integer grid, with its exact distance matrix."""
 
     h: np.ndarray
     rho: float
@@ -108,8 +98,8 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     -------
     SIChannelMatrix
         Entry (n, m) equals ``rho * exp(j*pi*d)/d`` with d the exact
-        Tx-Rx distance. Integer distances produce exactly real entries
-        with sign (-1)**d.
+        Tx-Rx distance. Integer distances give real entries with sign
+        (-1)**d; ``h`` is complex128 only if some distance is fractional.
     """
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got non-finite {rho}")
@@ -119,9 +109,10 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     delta = distance_matrix(layout)
     df = delta.to_array()
     whole, rest = np.divmod(delta.ticks, delta.denom)
-    h = (np.where(whole % 2 == 1, -rho, rho) / df).astype(complex)
+    h = np.where(whole % 2 == 1, -rho, rho) / df
     frac = rest != 0
     if frac.any():
+        h = h.astype(complex)
         h[frac] = rho * np.exp(1j * np.pi * df[frac]) / df[frac]
     h.setflags(write=False)
     return SIChannelMatrix(h=h, rho=rho, layout=layout, delta=delta)
@@ -133,8 +124,8 @@ def is_toeplitz(matrix, tol: float = 0.0) -> bool:
     Accepts a DistanceMatrix (checked on exact ticks), an
     SIChannelMatrix, or any 2-D array-like.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     arr = as_matrix(matrix.ticks if isinstance(matrix, DistanceMatrix) else matrix)
     a, b = arr[1:, 1:], arr[:-1, :-1]
     return not np.any(a != b if tol == 0 else np.abs(a - b) > tol)
@@ -146,14 +137,14 @@ def sign_pattern(h: SIChannelMatrix) -> str:
     Returns
     -------
     str
-        ``'complex'`` if any entry has a nonzero imaginary part;
+        ``'complex'`` if the matrix is complex with a nonzero imaginary part;
         ``'uniform'`` if all entries are real and share one sign;
         ``'alternating'`` if entries are real and the sign of every entry
         is exactly (-1)**distance with both parities present;
         ``'mixed'`` otherwise.
     """
     arr = h.h
-    if np.any(arr.imag != 0):
+    if np.iscomplexobj(arr) and arr.imag.any():
         return SIGN_COMPLEX
     re = arr.real
     if np.all(re > 0) or np.all(re < 0):
@@ -162,25 +153,3 @@ def sign_pattern(h: SIChannelMatrix) -> str:
     if rest.any() or np.any(np.sign(re) != 1 - 2 * (whole % 2)):
         return SIGN_MIXED
     return SIGN_ALTERNATING
-
-
-def si_leakage(h, s) -> np.ndarray:
-    """Self-interference seen at the receive array for transmit vector s.
-
-    Parameters
-    ----------
-    h : SIChannelMatrix or 2-D array-like
-    s : 1-D array-like of length n_tx
-
-    Returns
-    -------
-    ndarray
-        Complex vector of length n_rx (the matrix-vector product).
-    """
-    arr = as_matrix(h, complex)
-    vec = np.asarray(s, dtype=complex)
-    if vec.ndim != 1 or vec.shape[0] != arr.shape[1]:
-        raise ValueError(
-            f"transmit vector length {vec.shape} does not match {arr.shape[1]} Tx antennas"
-        )
-    return arr @ vec

@@ -5,7 +5,6 @@ self-interference power over all transmit signals; the full spectrum and
 effective rank quantify how many transmit directions leak significantly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,9 @@ def _as_matrix(h) -> np.ndarray:
     """Validated 2-D float64 or complex128 array of a matrix-like.
 
     Boolean, integer and float inputs become float64, anything else
-    complex128, and a complex matrix whose entries are all exactly real (as
-    on every integer-grid layout) becomes its float64 real part, so such a
-    matrix is decomposed in real arithmetic.
+    complex128, and a complex matrix whose entries are all exactly real (a
+    caller's array or a loaded matrix file) becomes its float64 real part,
+    so such a matrix is decomposed in real arithmetic.
 
     Raises
     ------
@@ -80,9 +79,9 @@ def svd_spectrum(h) -> SingularSpectrum:
     """Full singular spectrum of a matrix.
 
     Computes singular values only, by the same call as `spectral_norm`, so
-    ``sigmas[0]`` equals its σ₁ bit for bit. A matrix whose entries are all
-    exactly real, as on every integer-grid layout, is decomposed in real
-    arithmetic.
+    ``sigmas[0]`` equals its σ₁ bit for bit. A real matrix, such as the SI
+    matrix of an integer-grid layout, or a complex one whose entries are
+    all exactly real, is decomposed in real arithmetic.
 
     Parameters
     ----------
@@ -103,9 +102,8 @@ def svd_spectrum(h) -> SingularSpectrum:
 def spectral_norm(h) -> float:
     """Largest singular value (worst-case SI amplification).
 
-    Computes singular values only. A matrix whose entries are all exactly
-    real, as on every integer-grid layout, is decomposed in real
-    arithmetic.
+    Computes singular values only. A real matrix, or a complex one whose
+    entries are all exactly real, is decomposed in real arithmetic.
 
     Raises
     ------
@@ -135,21 +133,3 @@ def effective_rank(spec: SingularSpectrum, eps: float) -> int:
     if s[0] == 0:
         return 0
     return int(np.count_nonzero(s >= eps * s[0]))
-
-
-def interleaved_closed_form_n2(rho: float, delta2: int) -> tuple[float, float]:
-    """Closed-form singular values of the two-antenna interleaved channel.
-
-    Both values scale as rho/delta2, so their ratio is independent of the
-    spacing; serves as an oracle for `svd_spectrum`.
-    """
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if delta2 < 1:
-        raise ValueError(f"delta2 must be >= 1, got {delta2}")
-    scale = rho / delta2
-    root10 = math.sqrt(10.0)
-    return (
-        math.sqrt((14.0 + 4.0 * root10) / 9.0) * scale,
-        math.sqrt((14.0 - 4.0 * root10) / 9.0) * scale,
-    )

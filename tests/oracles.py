@@ -58,6 +58,24 @@ def singular_values_3x3(a) -> tuple[float, float, float]:
     return tuple(sigmas)
 
 
+def interleaved_closed_form_n2(rho: float, delta2: int) -> tuple[float, float]:
+    """Closed-form singular values of the two-antenna interleaved channel.
+
+    Both values scale as rho/delta2, so their ratio is independent of the
+    spacing.
+    """
+    if not rho > 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    if delta2 < 1:
+        raise ValueError(f"delta2 must be >= 1, got {delta2}")
+    scale = rho / delta2
+    root10 = math.sqrt(10.0)
+    return (
+        math.sqrt((14.0 + 4.0 * root10) / 9.0) * scale,
+        math.sqrt((14.0 - 4.0 * root10) / 9.0) * scale,
+    )
+
+
 def factored_svd(a):
     """U, S, V* of LAPACK's full factorisation of a matrix, S descending.
 
@@ -121,6 +139,19 @@ def colocation_message(tx: FractionGeometry, rx: FractionGeometry) -> str | None
     if not shared:
         return None
     return "colocated Tx/Rx antenna at position(s) " + ", ".join(map(str, shared))
+
+
+def fraction_distances(layout) -> list[list[Fraction]]:
+    """Every |rx - tx| of a layout's positions as a ``Fraction``; rows index Rx, columns Tx."""
+    tx = [Fraction(t) for t in layout.tx.positions]
+    return [[abs(Fraction(r) - t) for t in tx] for r in layout.rx.positions]
+
+
+def integer_grid_channel(distances, rho: float) -> np.ndarray:
+    """float64 matrix of rho * (-1)**d / d over rows of integer ``Fraction`` distances."""
+    if any(d.denominator != 1 for row in distances for d in row):
+        raise ValueError("a distance is not an integer")
+    return np.array([[(-rho if d.numerator % 2 else rho) / float(d) for d in row] for row in distances])
 
 
 def enumerate_sum_coarray(tx_positions, rx_positions):

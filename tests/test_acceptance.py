@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from oracles import enumerate_sum_coarray, singular_values_2x2, singular_values_3x3
+from oracles import (
+    enumerate_sum_coarray,
+    fraction_distances,
+    interleaved_closed_form_n2,
+    singular_values_2x2,
+    singular_values_3x3,
+)
 
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, coarray_scaling, fig2_study, scaling_sweep
@@ -21,7 +27,7 @@ from fdarray.geometry import (
     generate_partitioned,
 )
 from fdarray.si_model import distance_matrix, is_toeplitz, si_matrix, sign_pattern
-from fdarray.spectral import interleaved_closed_form_n2, svd_spectrum
+from fdarray.spectral import svd_spectrum
 
 
 def _report(num, name, body, budget=None):
@@ -71,7 +77,7 @@ def test_criterion_3_sign_structure():
             for delta1 in range(0, 6):
                 ch = si_matrix(generate_partitioned(n, delta1), 1.0)
                 assert sign_pattern(ch) == "alternating"
-                for i, row in enumerate(ch.delta.entries):
+                for i, row in enumerate(fraction_distances(ch.layout)):
                     for j, d in enumerate(row):
                         assert np.sign(ch.h[i, j].real) == (-1.0) ** int(d)
             for delta2 in range(1, 6):

@@ -171,6 +171,14 @@ def test_grating_lobes_interleaved_spacing():
     assert any(abs(angle + target) <= curve.grid_step for angle in lobes)
 
 
+@pytest.mark.parametrize("tol_db", [float("nan"), -1.0])
+def test_grating_lobes_rejects_a_tolerance_below_zero_or_nan(tol_db):
+    curve = beampattern(generate_interleaved(8, 2).rx)
+    assert len(grating_lobes(curve)) == 4
+    with pytest.raises(ValueError):
+        grating_lobes(curve, tol_db=tol_db)
+
+
 def test_grating_lobes_absent_for_dense_and_nested():
     assert grating_lobes(beampattern(ula(11), 0.0), 0.5) == []
     assert grating_lobes(beampattern(generate_nested(6, 5, 3).rx, 0.0), 0.5) == []

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_sum_coarray
+from oracles import enumerate_sum_coarray, fraction_distances
 
 from fdarray.coarray import sum_coarray
 from fdarray.experiments import coarray_scaling
@@ -30,10 +30,6 @@ def rational_layouts(draw):
     assume(not tx & rx)
     offset = draw(st.integers(0, 10**6))
     return FullDuplexLayout(tx=[p + offset for p in tx], rx=[p + offset for p in rx])
-
-
-def fraction_distances(layout):
-    return [[abs(r - t) for t in layout.tx.positions] for r in layout.rx.positions]
 
 
 def reference_sign_pattern(layout) -> str:

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import fraction_distances, integer_grid_channel
+
 from fdarray.cli import main as cli_main
+from fdarray.experiments import ApertureRule, build_family_layout
 from fdarray.files import (
     load_matrix_csv,
     load_matrix_json,
@@ -26,7 +29,6 @@ from fdarray.si_model import (
     SIChannelMatrix,
     distance_matrix,
     is_toeplitz,
-    si_leakage,
     si_matrix,
     sign_pattern,
 )
@@ -36,35 +38,39 @@ def layout(tx, rx):
     return FullDuplexLayout(tx=ArrayGeometry(tuple(tx)), rx=ArrayGeometry(tuple(rx)))
 
 
+def fractions(dm):
+    """The distances of a DistanceMatrix as rows of ``Fraction``."""
+    return [[Fraction(t, dm.denom) for t in row] for row in dm.ticks.tolist()]
+
+
 def test_distance_matrix_partitioned_reference():
     dm = distance_matrix(generate_partitioned(2, 0))
-    assert dm.entries == ((2, 3), (1, 2))
+    assert fractions(dm) == [[2, 3], [1, 2]]
 
 
 def test_distance_matrix_interleaved_reference():
     dm = distance_matrix(generate_interleaved(2, 1))
-    assert dm.entries == ((1, 3), (1, 1))
+    assert fractions(dm) == [[1, 3], [1, 1]]
 
 
 def test_distance_matrix_single_pair():
     dm = distance_matrix(layout(tx=[5], rx=[0]))
-    assert dm.entries == ((5,),)
-    assert dm.is_integer
+    assert fractions(dm) == [[5]]
 
 
 def test_distance_matrix_general_structure():
     # partitioned distances are delta1 plus a band of consecutive integers
     n, delta1 = 4, 7
-    dm = distance_matrix(generate_partitioned(n, delta1))
+    dm = fractions(distance_matrix(generate_partitioned(n, delta1)))
     for i in range(n):
         for j in range(n):
-            assert dm.entries[i][j] == delta1 + n + j - i
+            assert dm[i][j] == delta1 + n + j - i
     # interleaved distances are delta2 times odd integers
     n, delta2 = 4, 3
-    dm = distance_matrix(generate_interleaved(n, delta2))
+    dm = fractions(distance_matrix(generate_interleaved(n, delta2)))
     for i in range(n):
         for j in range(n):
-            assert dm.entries[i][j] == delta2 * abs(2 * (j - i) + 1)
+            assert dm[i][j] == delta2 * abs(2 * (j - i) + 1)
 
 
 def test_si_matrix_single_pair_is_minus_one():
@@ -129,10 +135,10 @@ def test_model_fidelity_on_rational_layouts():
             continue
         lay = layout(tx=tx, rx=rx)
         ch = si_matrix(lay, rho=2.25)
-        dm = distance_matrix(lay)
+        dm = fraction_distances(lay)
         for n in range(len(lay.rx)):
             for m in range(len(lay.tx)):
-                ratio = abs(ch.h[n, m]) * float(dm.entries[n][m]) / ch.rho
+                ratio = abs(ch.h[n, m]) * float(dm[n][m]) / ch.rho
                 assert abs(ratio - 1.0) < 1e-12
 
 
@@ -169,6 +175,8 @@ def test_is_toeplitz_edge_cases():
     assert not is_toeplitz(np.array([[1.0, 2.0], [3.0, 1.0 + 1e-9]]), tol=1e-10)
     with pytest.raises(ValueError):
         is_toeplitz(np.ones((2, 2)), tol=-1.0)
+    with pytest.raises(ValueError):
+        is_toeplitz(np.array([[1.0, 2.0], [3.0, 4.0]]), tol=float("nan"))
 
 
 def test_sign_pattern_classification():
@@ -181,22 +189,41 @@ def test_sign_pattern_classification():
     assert sign_pattern(si_matrix(layout(tx=[1], rx=[0]), 1.0)) == "uniform"
 
 
+@pytest.mark.parametrize("n", (10, 100, 300))
+@pytest.mark.parametrize("rule", ("linear", "quadratic"))
+@pytest.mark.parametrize("family", ("partitioned", "interleaved", "nested"))
+def test_integer_grid_channel_is_float64_with_exact_entries(family, rule, n):
+    lay = build_family_layout(family, n, ApertureRule(kind=rule).target(n))[0]
+    ch = si_matrix(lay, 0.61)
+    assert ch.h.dtype == np.float64
+    assert ch.h.nbytes == 8 * len(lay.rx) * len(lay.tx)
+    distances = fraction_distances(lay)
+    assert ch.h.tobytes() == integer_grid_channel(distances, 0.61).tobytes()
+    # interleaved distances are delta2 times odd integers: one parity, one sign
+    parities = {d.numerator % 2 for row in distances for d in row}
+    assert sign_pattern(ch) == ("uniform" if len(parities) == 1 else "alternating")
+    assert sign_pattern(SIChannelMatrix(ch.h.astype(complex), ch.rho, ch.layout, ch.delta)) == sign_pattern(ch)
+
+
+def test_fractional_distances_make_a_complex_channel():
+    base = generate_nested(6, 5, 3)
+    thirds = FullDuplexLayout(tx=base.tx.scaled(Fraction(1, 3)), rx=base.rx.scaled(Fraction(1, 3)))
+    ch = si_matrix(thirds, 0.61)
+    assert ch.h.dtype == np.complex128
+    assert sign_pattern(ch) == "complex"
+    mixed = si_matrix(layout(tx=[2, Fraction(5, 2)], rx=[0]), 1.0)
+    assert mixed.h.dtype == np.complex128
+    assert mixed.h[0, 0].real == 0.5 and mixed.h[0, 0].imag == 0.0
+    assert not np.signbit(mixed.h[0, 0].imag)
+    assert mixed.h[0, 1].imag != 0
+
+
 def test_sign_pattern_mixed_for_inconsistent_matrix():
     base = si_matrix(generate_partitioned(2, 0), 1.0)
     doctored = base.h.copy()
     doctored[0, 1] = abs(doctored[0, 1])  # break the parity rule
     fake = SIChannelMatrix(h=doctored, rho=1.0, layout=base.layout, delta=base.delta)
     assert sign_pattern(fake) == "mixed"
-
-
-def test_si_leakage():
-    assert si_leakage(np.array([[-1.0 + 0j]]), [1]) == np.array([-1.0 + 0j])
-    ch = si_matrix(generate_interleaved(2, 1), 1.0)
-    out = si_leakage(ch, [1, 0])
-    assert np.array_equal(out, np.array([-1.0 + 0j, -1.0 + 0j]))
-    assert np.all(si_leakage(ch, [0, 0]) == 0)
-    with pytest.raises(ValueError):
-        si_leakage(ch, [1, 0, 0])
 
 
 def test_distance_matrix_guards_colocated_pairs():
@@ -280,3 +307,12 @@ def test_matrix_loaders_reject_garbage(tmp_path):
     path.write_text("[[1, 2], [3]]")
     with pytest.raises(ValueError):
         load_matrix_json(path)
+
+
+@pytest.mark.parametrize("doc", ['[[{"0": 1, "1": 0}]]', "[[[1, 2, 3]]]", "[[[true, false]]]"])
+def test_svd_cli_rejects_malformed_json_cells(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert cli_main(["svd", "--matrix", str(path), "-o", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdarray: error:") and str(path) in err

@@ -86,7 +86,7 @@ def test_float_decimal_layouts_keep_working(tmp_path):
     dm = distance_matrix(lay)
     # decimal positions with 16 digits: a denominator above 2**53, ticks below 2**62
     assert 2**53 < dm.denom <= 10**16
-    expected = [[float(d) for d in row] for row in dm.entries]
+    expected = [[float(Fraction(t, dm.denom)) for t in row] for row in dm.ticks.tolist()]
     assert np.array_equal(dm.to_array(), np.array(expected))
     assert np.all(np.isfinite(si_matrix(lay, 0.5).h))
     co = sum_coarray(lay)
