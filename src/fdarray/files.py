@@ -183,7 +183,8 @@ def load_matrix_csv(path) -> np.ndarray:
     Returns a float matrix when no cell carries an imaginary part, a
     complex matrix otherwise. Each distinct cell text is parsed once, a
     plain cell by `float` and an "a+bi" cell by `complex` as "a+bj", so a
-    cell "bi" with no real part reads as 0+bi.
+    cell "bi" with no real part reads as 0+bi. A cell that is neither raises
+    ValueError naming the file.
     """
     lines = [line for line in _read_text(path).split("\n") if line.strip()]
     if not lines:
@@ -196,7 +197,10 @@ def load_matrix_csv(path) -> np.ndarray:
         # float() rejects every "a+bi" cell
         values, dtype = list(map(float, distinct)), float
     except ValueError:
-        values, dtype = list(map(_parse_cell, distinct)), complex
+        try:
+            values, dtype = list(map(_parse_cell, distinct)), complex
+        except ValueError as exc:
+            raise ValueError(f"malformed matrix cell in {path}: {exc}") from exc
     if len(values) < len(cells):
         values = list(map(dict(zip(distinct, values)).__getitem__, cells))
     arr = np.array(values, dtype=dtype).reshape(len(lines), -1)
@@ -217,8 +221,9 @@ def write_matrix_json(matrix, path) -> None:
 def load_matrix_json(path) -> np.ndarray:
     """Load a complex matrix from nested [re, im] JSON arrays.
 
-    Every cell must be a two-element list of numbers, not bools; any other
-    cell raises ValueError naming the file.
+    Every cell must be a two-element list of numbers, not bools, and the
+    document must hold at least one; anything else raises ValueError naming
+    the file.
     """
     text = _read_text(path)
     data = json.loads(text)
@@ -229,8 +234,10 @@ def load_matrix_json(path) -> np.ndarray:
     try:
         if bools:
             raise TypeError("a cell holds true or false, not a number")
-        rows = [[complex(re, im) for re, im in row] for row in data]
-        return as_matrix(rows)
+        arr = as_matrix([[complex(re, im) for re, im in row] for row in data])
+        if not arr.size:
+            raise ValueError("no matrix cell")
+        return arr
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document in {path}: {exc}") from exc
 

@@ -309,10 +309,21 @@ def test_matrix_loaders_reject_garbage(tmp_path):
         load_matrix_json(path)
 
 
-@pytest.mark.parametrize("doc", ['[[{"0": 1, "1": 0}]]', "[[[1, 2, 3]]]", "[[[true, false]]]"])
+@pytest.mark.parametrize(
+    "doc", ['[[{"0": 1, "1": 0}]]', "[[[1, 2, 3]]]", "[[[true, false]]]", '{"": 1}', "[[]]", "[{}]"]
+)
 def test_svd_cli_rejects_malformed_json_cells(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
+    assert cli_main(["svd", "--matrix", str(path), "-o", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdarray: error:") and str(path) in err
+
+
+@pytest.mark.parametrize("text", ["1,abc\n", "1,2i,\n", "1+2j\n"])
+def test_svd_cli_names_the_csv_file_of_a_malformed_cell(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
     assert cli_main(["svd", "--matrix", str(path), "-o", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fdarray: error:") and str(path) in err

@@ -261,8 +261,10 @@ def test_exactly_real_channels_are_factored_in_real_arithmetic(monkeypatch):
         assert abs(sigma1 - spec.sigmas[0]) <= 1e-12 * sigma1
     # the same values whatever the container of an exactly real matrix
     want = svd_spectrum(real.real.copy()).sigmas
-    for same in (real, real.real.tolist()):
+    for same in (real, real.astype(complex), real.real.tolist()):
+        seen.clear()
         assert np.array_equal(svd_spectrum(same).sigmas, want)
+        assert seen == [np.float64]
 
 
 @pytest.mark.parametrize(
