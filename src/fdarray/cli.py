@@ -86,6 +86,8 @@ def cmd_sweep(args) -> int:
     rule = experiments.ApertureRule(kind=args.rule, coeff=args.coeff, l_max=args.l_max)
     if args.n_max < args.n_min:
         raise ValueError("--n-max must be >= --n-min")
+    if args.n_step < 1:
+        raise ValueError(f"--n-step must be >= 1, got {args.n_step}")
     ns = range(args.n_min, args.n_max + 1, args.n_step)
     result = experiments.scaling_sweep(args.family, ns, rule, rho=args.rho)
     files.write_sweep_csv(result, args.output)

@@ -84,6 +84,20 @@ def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
     return DistanceMatrix(ticks=ticks, denom=denom)
 
 
+def _parity(delta: DistanceMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parity (0 or 1) of each distance's whole part, and the mask of the
+    fractional distances, None when there is none.
+
+    On the integer grid (``denom == 1``) the parity is read from the ticks
+    themselves, without a division.
+    """
+    if delta.denom == 1:
+        return delta.ticks & 1, None
+    whole, rest = np.divmod(delta.ticks, delta.denom)
+    frac = rest != 0
+    return whole & 1, frac if frac.any() else None
+
+
 def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     """Spherical-wave SI channel matrix of a layout.
 
@@ -107,11 +121,10 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
         raise ValueError(f"rho must be > 0, got {rho}")
     rho = float(rho)
     delta = distance_matrix(layout)
-    df = delta.to_array()
-    whole, rest = np.divmod(delta.ticks, delta.denom)
-    h = np.where(whole % 2 == 1, -rho, rho) / df
-    frac = rest != 0
-    if frac.any():
+    odd, frac = _parity(delta)
+    df = delta.ticks if delta.denom == 1 else delta.to_array()
+    h = np.where(odd, -rho, rho) / df
+    if frac is not None:
         h = h.astype(complex)
         h[frac] = rho * np.exp(1j * np.pi * df[frac]) / df[frac]
     h.setflags(write=False)
@@ -149,7 +162,7 @@ def sign_pattern(h: SIChannelMatrix) -> str:
     re = arr.real
     if np.all(re > 0) or np.all(re < 0):
         return SIGN_UNIFORM
-    whole, rest = np.divmod(h.delta.ticks, h.delta.denom)
-    if rest.any() or np.any(np.sign(re) != 1 - 2 * (whole % 2)):
+    odd, frac = _parity(h.delta)
+    if frac is not None or np.any(np.sign(re) != 1 - 2 * odd):
         return SIGN_MIXED
     return SIGN_ALTERNATING

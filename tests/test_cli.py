@@ -198,6 +198,14 @@ def test_sweep_command_range_validation(tmp_path):
                "--n-min", "30", "--n-max", "10", "-o", str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-10"])
+def test_sweep_command_rejects_a_step_below_one(tmp_path, capsys, step):
+    out = tmp_path / "x.csv"
+    assert run("sweep", "--family", "nested", "--rule", "linear", "--n-step", step, "-o", str(out)) == 2
+    assert "--n-step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fig2_command_bundle(tmp_path, capsys):
     out_dir = tmp_path / "bundle"
     assert run("fig2", "--grid-size", "128", "-o", str(out_dir)) == 0

@@ -4,8 +4,8 @@ Each digest is the sha256 of a file written by ``fdarray.cli.main``. `PINS`
 lists, for each case and output file, every digest the file has had, oldest
 first, each paired with the newest renderer in `RENDERERS` that still
 reproduces it; the last pair is the CLI's. A renderer runs the CLI and rewrites the files of
-one layer (the spectrum function, the sweep σ₁ or the array factor) with that
-layer's code from before a change that moved their last digits, so every old
+one or two layers (the spectrum function, the sweep σ₁ or the array factor)
+with their code from before a change that moved their last digits, so every old
 digest keeps showing that the rest of the pipeline is byte-unchanged. `pin`
 derives the digest a render must reproduce, and one parametrised test body,
 `check_pins`, checks every render under the test names of `PIN_TESTS`. The
@@ -25,7 +25,7 @@ numpy's float64 ``np.sin``. On the x86-64 Xeon the pins were taken on
 rather than a SIMD kernel.
 
 When a change moves bytes, add a renderer just before ``"cli"`` that
-rewrites the moved layer with its code from before the change, saying why;
+rewrites the moved layers with their code from before the change, saying why;
 in each moved file's pins, relabel the ``"cli"`` pair with the new renderer
 and append the new ``("cli", digest)`` pair. Add a test that holds the new
 values to a tolerance of the old ones. Print every render's pairs, in the
@@ -55,6 +55,7 @@ import pytest
 from oracles import direct_array_factor, factored_svd, running_product_array_factor, sincos_array_factor
 
 import fdarray
+from fdarray import spectral
 from fdarray.beampattern import DB_FLOOR, BeampatternCurve
 from fdarray.cli import main as cli_main
 from fdarray.experiments import ApertureRule, build_family_layout, fig2_study, scaling_sweep
@@ -69,7 +70,7 @@ from fdarray.files import (
 )
 from fdarray.geometry import FullDuplexLayout, generate_nested
 from fdarray.si_model import as_matrix, si_matrix
-from fdarray.spectral import svd_spectrum
+from fdarray.spectral import spectral_norm, svd_spectrum
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 # LAPACK-dependent pins are checked only with the numpy they were recorded with
@@ -156,14 +157,35 @@ def cli_sweep(family, rule):
     return scaling_sweep(family, SWEEP_NS, ApertureRule(kind=rule), rho=float(SWEEP_RHO))
 
 
-def with_full_svd_sigma1(result):
-    """A sweep result with each row's σ₁ taken from the full complex SVD of its channel."""
+def with_sigma1(sigma1, result):
+    """A sweep result with each row's σ₁ taken by ``sigma1`` from its channel."""
     rows = []
     for row in result.rows:
         layout = build_family_layout(result.family, row.n, row.l_target)[0]
-        sigma1 = float(complex_svd_spectrum(si_matrix(layout, result.rho)).sigmas[0])
-        rows.append(dataclasses.replace(row, spectral_norm=sigma1))
+        rows.append(dataclasses.replace(row, spectral_norm=sigma1(si_matrix(layout, result.rho))))
     return dataclasses.replace(result, rows=tuple(rows))
+
+
+def with_full_svd_sigma1(result):
+    """A sweep result with each row's σ₁ taken from the full complex SVD of its channel."""
+    return with_sigma1(lambda channel: float(complex_svd_spectrum(channel).sigmas[0]), result)
+
+
+def values_svd(arr):
+    """`spectral._singular_values` from before the mirror case: exact for at
+    most one nonzero per row and column, else the values-only SVD."""
+    if np.count_nonzero(arr[0]) <= 1 and all(((arr != 0).sum(axis=k) <= 1).all() for k in (0, 1)):
+        return np.sort(np.abs(arr).max(axis=int(arr.shape[0] <= arr.shape[1])))[::-1]
+    return np.linalg.svd(arr, compute_uv=False)
+
+
+def with_values_svd(f):
+    """``f`` run with `values_svd` in place of `spectral._singular_values`."""
+    def run(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_singular_values", values_svd)
+            return f(*args)
+    return run
 
 
 def oracle_curve(factor, geometry, theta_s, normalized, grid_size=4096) -> BeampatternCurve:
@@ -181,8 +203,7 @@ def oracle_curve(factor, geometry, theta_s, normalized, grid_size=4096) -> Beamp
 
 
 class Renderer(NamedTuple):
-    layer: str | None  # the layer it rewrites: "spectrum", "sigma1" or "factor"
-    old: Callable | None  # that layer's code from before the change
+    old: dict[str, Callable]  # layer it rewrites ("spectrum", "sigma1" or "factor") -> its older code
     why: str  # the change that moved bytes past it
     also: tuple = ()  # renderers whose layers it rewrites too
 
@@ -192,29 +213,37 @@ class Renderer(NamedTuple):
 # were pinned.
 RENDERERS = {
     "full-svd": Renderer(
-        "sigma1", with_full_svd_sigma1,
+        {"sigma1": with_full_svd_sigma1},
         "`spectral_norm` took σ₁ from singular values only, in real arithmetic on integer-grid channels",
     ),
     "direct": Renderer(
-        "factor", direct_array_factor, "`array_factor` moved to exact integer ticks and matrix products",
+        {"factor": direct_array_factor}, "`array_factor` moved to exact integer ticks and matrix products",
         also=("complex-svd",),
     ),
     "complex-svd": Renderer(
-        "spectrum", complex_svd_spectrum, "`svd_spectrum` factored exactly real matrices in real arithmetic"
+        {"spectrum": complex_svd_spectrum}, "`svd_spectrum` factored exactly real matrices in real arithmetic"
     ),
     "sincos": Renderer(
-        "factor", sincos_array_factor, "`array_factor` built its phases by running products",
+        {"factor": sincos_array_factor}, "`array_factor` built its phases by running products",
         also=("complex-svd",),
     ),
     "split": Renderer(
-        "factor", running_product_array_factor,
+        {"factor": running_product_array_factor},
         "`array_factor` became one Dirichlet kernel per uniform run of ticks",
         also=("complex-svd",),
     ),
     "factored-svd": Renderer(
-        "spectrum", factored_svd_spectrum, "`svd_spectrum` took its values from the values-only LAPACK call"
+        {"spectrum": factored_svd_spectrum}, "`svd_spectrum` took its values from the values-only LAPACK call"
     ),
-    "cli": Renderer(None, None, "no change: it renders the code under test"),
+    "values-svd": Renderer(
+        {
+            "spectrum": with_values_svd(svd_spectrum),
+            "sigma1": with_values_svd(functools.partial(with_sigma1, spectral_norm)),
+        },
+        "a real matrix that is exactly symmetric, or whose row reversal is (Tx mirroring Rx), took its values "
+        "from the symmetric eigensolver",
+    ),
+    "cli": Renderer({}, "no change: it renders the code under test"),
 }
 ORDER = list(RENDERERS)
 
@@ -231,6 +260,9 @@ PIN_TESTS = {
     "test_curve_split_rendering_matches_golden_bytes": ("split", CURVE_CASES),
     "test_curve_cli_output_matches_golden_bytes": ("cli", CURVE_CASES),
     "test_fig2_factored_svd_rendering_matches_golden_bytes": ("factored-svd", FIG2),
+    "test_layout_values_svd_rendering_matches_golden_bytes": ("values-svd", LAYOUT_CASES),
+    "test_sweep_values_svd_rendering_matches_golden_bytes": ("values-svd", SWEEP_CASES),
+    "test_fig2_values_svd_rendering_matches_golden_bytes": ("values-svd", FIG2),
 }
 RENDERS = {(r, c) for r, cases in PIN_TESTS.values() for c in ([cases] if isinstance(cases, str) else cases)}
 
@@ -241,13 +273,13 @@ def layer_of(file):
 
 def versions(renderer) -> dict:
     """Layer -> the renderer whose older code of it ``renderer`` runs."""
-    return {RENDERERS[r].layer: r for r in (renderer, *RENDERERS[renderer].also) if r != "cli"}
+    return {layer: r for r in (renderer, *RENDERERS[renderer].also) for layer in RENDERERS[r].old}
 
 
 def render(renderer, case, workdir) -> dict:
     """Digests of the files the CLI writes for ``case``, except that the files
     of each layer ``renderer`` rewrites come from that layer's older code."""
-    old = {layer: RENDERERS[r].old for layer, r in versions(renderer).items()}
+    old = {layer: RENDERERS[r].old[layer] for layer, r in versions(renderer).items()}
     spectrum, sigma1, factor = (old.get(layer) for layer in ("spectrum", "sigma1", "factor"))
     geo, out = Path(workdir) / "geometry.json", Path(workdir) / "out"
     if case == FIG2:
@@ -344,7 +376,8 @@ PINS = {
         **dict.fromkeys(SVD_FILES, [
             ("complex-svd", "67fef5b203ee121997bf4866e2d0d7d0388280349fa9fbe955db1454867bd556"),
             ("factored-svd", "e569ea71ceb3e75816d078e6f6f9b5000ec62df2b282931566173fe4b3d7dea9"),
-            ("cli", "b58c3b8bbb3bd770012be657d193c23b485ca5cb7bd47aca8e78ed015da7d9df"),
+            ("values-svd", "b58c3b8bbb3bd770012be657d193c23b485ca5cb7bd47aca8e78ed015da7d9df"),
+            ("cli", "041e9d33f4ff197f30d18bfd90fdc051e9960af3f3e8c8e0098c2ae2d84370d5"),
         ]),
         "coarray.csv": [("cli", "ab3ad9119838b10b931da67fb2fbfe680b15fedb6a131994ba12f1e32a56b210")],
     },
@@ -369,37 +402,43 @@ PINS = {
     "partitioned-linear": {
         "sweep.csv": [
             ("full-svd", "98f5883644246dd5f66eafd611860c01faf439d78e7268834fc2dbe35f464e90"),
-            ("cli", "4711b7264f45896d711343d53cab35bbc52567ddfe47efe6d730285297fd2880"),
+            ("values-svd", "4711b7264f45896d711343d53cab35bbc52567ddfe47efe6d730285297fd2880"),
+            ("cli", "dbd80d22ffc3137a38ba1165c245cfe0bde78765f1cf63b71ee7ea81139c8a15"),
         ],
     },
     "partitioned-quadratic": {
         "sweep.csv": [
             ("full-svd", "e834864a7cae56a89e7bb3e2f391c32691a21e02ab331745e22c54bcf2fe5bff"),
-            ("cli", "49e62f52772d3cb26c4a10faf5473810ca0f21d9f4305428325aaf3c8846e872"),
+            ("values-svd", "49e62f52772d3cb26c4a10faf5473810ca0f21d9f4305428325aaf3c8846e872"),
+            ("cli", "c7adcb30177cf14290e596ede60c23143e5c19e07bed461403052c171d05455c"),
         ],
     },
     "interleaved-linear": {
         "sweep.csv": [
             ("full-svd", "c84f58454a45eef65a5b343173e7a8cd359a686a103f87ddbafe29162b190486"),
-            ("cli", "55724758433e71c835b75d4f7594596c2a14724b76340ca7609fe93c29deac09"),
+            ("values-svd", "55724758433e71c835b75d4f7594596c2a14724b76340ca7609fe93c29deac09"),
+            ("cli", "6c90e9a0846f42f6e96df8a642302f1fd38f1b258ed2b0d124e850718ee09767"),
         ],
     },
     "interleaved-quadratic": {
         "sweep.csv": [
             ("full-svd", "90da301aa452349eed6e87272ecfc47111e74730e898769437fe0449856ad830"),
-            ("cli", "817126118e26e611ad794c6b49ff960707aff203f99669c311e4f8b66391d950"),
+            ("values-svd", "817126118e26e611ad794c6b49ff960707aff203f99669c311e4f8b66391d950"),
+            ("cli", "8dd4d93adcb5cd209ea04ae10224f28bf9372b60b4ae29fff1200b75c7396c15"),
         ],
     },
     "nested-linear": {
         "sweep.csv": [
             ("full-svd", "dd59cd20bbc242f11eb02f7f74f550d0bad096d863e5ef84c0661dd0e54258fa"),
-            ("cli", "4f5f50b5fed9522dfdee78466202d8c44635ba708b13dd5039d7308154fd6ea8"),
+            ("values-svd", "4f5f50b5fed9522dfdee78466202d8c44635ba708b13dd5039d7308154fd6ea8"),
+            ("cli", "6b4fa583543b2d7a97449a7b364a5215beade4a861aa25d0d68a2a5667283990"),
         ],
     },
     "nested-quadratic": {
         "sweep.csv": [
             ("full-svd", "6c4fe129a0246b92f49af68a0c78e247014942d37564a2c574c815b0dbb5b6f5"),
-            ("cli", "c4082e37403913105cbcbe7f22e463013300b833f24b4df520c5c0c4c207c284"),
+            ("values-svd", "c4082e37403913105cbcbe7f22e463013300b833f24b4df520c5c0c4c207c284"),
+            ("cli", "a56b05601a6c6c489dad6232ad6230a57f7f5219543fa605f2e54d04d63abcf9"),
         ],
     },
     "beampattern:nested_integer": {
@@ -499,17 +538,20 @@ PINS = {
         "spectrum_interleaved.csv": [
             ("complex-svd", "0855946bd08ba6fd86727d51870465c4a278c4143392a4df590551e46b92a1d0"),
             ("factored-svd", "b02899475656b208992cee806a59da45fbc59d62f6eee1b05e89030dae3b255f"),
-            ("cli", "0f990719e883b21bcb9457e115c9fe5d5eadca3de0c93a6d3f7476ac46731a6d"),
+            ("values-svd", "0f990719e883b21bcb9457e115c9fe5d5eadca3de0c93a6d3f7476ac46731a6d"),
+            ("cli", "a24ef81f36dba4fc71c6735e69625d7be1cf9913c0d55abc5cde6fb309f086e8"),
         ],
         "spectrum_nested.csv": [
             ("complex-svd", "3a38ba65df1193c1c4ce366e9761d08ef164003d243a2649d484e29ec52aa4c6"),
             ("factored-svd", "f128cb0edda163309f1f960201b990499020de9aeae97854cbacd45c3ad54788"),
-            ("cli", "2b56e70bf8b0aedae7831ec6abf9664bd5fa5290de1ddcd20458bea8327ce77f"),
+            ("values-svd", "2b56e70bf8b0aedae7831ec6abf9664bd5fa5290de1ddcd20458bea8327ce77f"),
+            ("cli", "63d7a11f81a90ec49cd85ed8082ecd42a5c6d8ec843a52ce1e2e534fd7fea7b7"),
         ],
         "spectrum_partitioned.csv": [
             ("complex-svd", "2d29235e3b6623cedc733b29c74d27cc077a9134ffd80573d3aec20ea316756f"),
             ("factored-svd", "3bafda1c27041b699863ff7c30364bcf2d5e504659c3186baccb157fbe049f22"),
-            ("cli", "81e83c93f1e8ff062c19a637acad737afcb58c6f68abec92eed5ae0847241f11"),
+            ("values-svd", "81e83c93f1e8ff062c19a637acad737afcb58c6f68abec92eed5ae0847241f11"),
+            ("cli", "1ff0828c06eee6005d4eb8ef0ed525131eaf57f2014c90974993848327b3a822"),
         ],
     },
 }
@@ -566,6 +608,24 @@ def test_sweep_sigma1_agrees_with_full_svd():
         assert len(got.rows) == len(SWEEP_NS)
         for row, ref in zip(got.rows, want.rows):
             assert row.n == ref.n
+            assert abs(row.spectral_norm - ref.spectral_norm) <= 1e-12 * ref.spectral_norm
+
+
+def test_moved_values_agree_with_the_values_svd():
+    """The spectra and sweep σ₁ that the symmetric eigensolver moved stay
+    within 1e-12·σ₁ of the values-only SVD's."""
+    old = RENDERERS["values-svd"].old
+    study = fig2_study()
+    channels = [si_matrix(generate_nested(20, 16, 3), float(RHO))]
+    channels += [si_matrix(layout, study.rho) for layout in study.layouts.values()]
+    for channel in channels:
+        got, want = svd_spectrum(channel).sigmas, old["spectrum"](channel).sigmas
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+    for family, rule in SWEEPS:
+        got = cli_sweep(family, rule)
+        want = old["sigma1"](got)
+        assert len(got.rows) == len(want.rows) == len(SWEEP_NS)
+        for row, ref in zip(got.rows, want.rows):
             assert abs(row.spectral_norm - ref.spectral_norm) <= 1e-12 * ref.spectral_norm
 
 

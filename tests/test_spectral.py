@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -241,30 +242,48 @@ def test_svd_spectrum_matches_complex_factorisation(h):
     assert spec.recon_error <= 1e-12 * spec.sigmas[0]
 
 
-def test_exactly_real_channels_are_factored_in_real_arithmetic(monkeypatch):
-    seen = []
-    svd = np.linalg.svd
+@contextlib.contextmanager
+def lapack_calls(skew=1.0):
+    """Record (name, dtype) of every `np.linalg.svd` and `np.linalg.eigvalsh`
+    call in the block, scaling the value of largest magnitude each returns
+    by ``skew``."""
+    calls = []
 
-    def recording_svd(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return svd(a, *args, **kwargs)
+    def patched(name, call):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a.dtype))
+            values = call(a, *args, **kwargs).copy()
+            values[np.argmax(np.abs(values))] *= skew
+            return values
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("svd", "eigvalsh"):
+            mp.setattr(np.linalg, name, patched(name, getattr(np.linalg, name)))
+        yield calls
+
+
+def test_exactly_real_channels_are_factored_in_real_arithmetic():
     layout = generate_interleaved(7, 3)
     real = si_matrix(layout, 1.0).h
     assert real.dtype == np.float64
-    for h in (real, real * np.exp(0.3j)):
-        seen.clear()
-        spec, sigma1 = svd_spectrum(h), spectral_norm(h)
-        want = np.float64 if h is real else np.complex128
-        assert seen == [want, want]
+    # Tx mirrors Rx, so the real channel takes the symmetric eigensolver; a
+    # real channel of an unmirrored layout takes the real SVD
+    unmirrored = si_matrix(FullDuplexLayout(tx=[0, 1, 2, 5], rx=[7, 8, 10, 13]), 1.0).h
+    assert unmirrored.dtype == np.float64
+    cases = ((real, ("eigvalsh", np.float64)), (unmirrored, ("svd", np.float64)),
+             (real * np.exp(0.3j), ("svd", np.complex128)))
+    for h, call in cases:
+        with lapack_calls() as seen:
+            spec, sigma1 = svd_spectrum(h), spectral_norm(h)
+        assert seen == [call, call]
         assert abs(sigma1 - spec.sigmas[0]) <= 1e-12 * sigma1
     # the same values whatever the container of an exactly real matrix
     want = svd_spectrum(real.real.copy()).sigmas
     for same in (real, real.astype(complex), real.real.tolist()):
-        seen.clear()
-        assert np.array_equal(svd_spectrum(same).sigmas, want)
-        assert seen == [np.float64]
+        with lapack_calls() as seen:
+            assert np.array_equal(svd_spectrum(same).sigmas, want)
+        assert seen == [("eigvalsh", np.float64)]
 
 
 @pytest.mark.parametrize(
@@ -304,14 +323,60 @@ def test_svd_spectrum_matches_factored_reference(h):
 
 
 @pytest.mark.parametrize("h", spectrum_channels())
-def test_recon_error_flags_a_perturbed_sigma1(h, monkeypatch):
-    svd = np.linalg.svd
-
-    def skewed_svd(a, *args, **kwargs):
-        s = svd(a, *args, **kwargs).copy()
-        s[0] *= 1 + 1e-6
-        return s
-
-    monkeypatch.setattr(np.linalg, "svd", skewed_svd)
-    spec = svd_spectrum(h)
+def test_recon_error_flags_a_perturbed_sigma1(h):
+    # every real channel here has Tx mirroring Rx and takes the symmetric eigensolver
+    with lapack_calls(skew=1 + 1e-6) as seen:
+        spec = svd_spectrum(h)
+    assert seen == [("eigvalsh", np.float64) if np.isrealobj(h) else ("svd", np.complex128)]
     assert spec.recon_error > 1e-9 * spec.sigmas[0]
+
+
+@st.composite
+def mirrored_layouts(draw):
+    """Integer layouts with Tx = c - Rx for a c that puts no Tx on an Rx antenna."""
+    rx = draw(st.sets(st.integers(0, 60), min_size=2, max_size=25))
+    sums = {a + b for a in rx for b in rx}
+    c = draw(st.sampled_from([c for c in range(-10, 131) if c not in sums]))
+    return FullDuplexLayout(tx=[c - r for r in rx], rx=rx)
+
+
+@st.composite
+def square_layouts(draw):
+    """Integer layouts with as many Tx as Rx antennas, at positions drawn independently."""
+    n = draw(st.integers(2, 25))
+    tx = draw(st.sets(st.integers(0, 60), min_size=n, max_size=n))
+    rx = draw(st.sets(st.integers(0, 60).filter(lambda p: p not in tx), min_size=n, max_size=n))
+    return FullDuplexLayout(tx=tx, rx=rx)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A caller's random real symmetric matrix, or its row reversal."""
+    n = draw(st.integers(2, 40))
+    b = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n))
+    s = b + b.T
+    return s[::-1] if draw(st.booleans()) else s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("mirrored"), mirrored_layouts()),
+    st.tuples(st.just("square"), square_layouts()),
+    st.tuples(st.just("symmetric"), symmetric_matrices()),
+))
+def test_mirrored_and_symmetric_inputs_take_the_symmetric_eigensolver(case):
+    kind, x = case
+    if kind == "symmetric":
+        h, symmetric = x, True
+    else:
+        h = si_matrix(x, 0.61).h
+        # on the integer grid the entries ±rho/d are equal exactly where the distances are
+        d = np.abs(np.subtract.outer(np.array(x.rx.positions), np.array(x.tx.positions)))
+        symmetric = any(np.array_equal(m, m.T) for m in (d, d[::-1]))
+        assert symmetric or kind == "square"
+    want = np.linalg.svd(h, compute_uv=False)
+    with lapack_calls() as seen:
+        sigmas, sigma1 = svd_spectrum(h).sigmas, spectral_norm(h)
+    assert seen == [("eigvalsh" if symmetric else "svd", np.float64)] * 2
+    assert np.max(np.abs(sigmas - want)) <= 1e-12 * want[0]
+    assert sigma1 == sigmas[0]
