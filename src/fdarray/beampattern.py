@@ -166,7 +166,7 @@ def _sum_at(g: ArrayGeometry, theta, theta_s: float):
     ``S * exp(j*phi*origin)`` and S summed run by run."""
     theta_s = _check_angle("theta_s", theta_s)
     th = np.asarray(theta, dtype=float)
-    if np.any(th < -np.pi / 2 - 1e-12) or np.any(th > np.pi / 2 + 1e-12):
+    if not np.all(np.abs(th) <= np.pi / 2 + 1e-12):  # NaN fails it
         raise ValueError("theta must lie in [-pi/2, pi/2]")
     ticks, denom = g.ticks, g.denom
     u = np.sin(th.ravel()) - math.sin(theta_s)

@@ -56,6 +56,20 @@ class ApertureRule:
         return float(base)
 
 
+def _antenna_counts(n_values) -> list[int]:
+    """A study's antenna counts as ints, in their order: nonempty, distinct integers (not bools)."""
+    ns = list(n_values)
+    if not ns:
+        raise ValueError("n_values must be nonempty")
+    for n in ns:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_values must be integers, got {n!r}")
+    ns = list(map(int, ns))
+    if len(set(ns)) != len(ns):
+        raise ValueError("n_values must be distinct")
+    return ns
+
+
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -83,7 +97,7 @@ def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -
     family : str
         A key of `geometry.FAMILIES`.
     n_values : iterable of int
-        Antennas per side; rows come out sorted by N.
+        Distinct antenna counts per side; rows come out sorted by N.
     rule : ApertureRule
     rho : float
         Held constant across the sweep, so curves compare in shape.
@@ -92,13 +106,8 @@ def scaling_sweep(family: str, n_values, rule: ApertureRule, rho: float = 1.0) -
     -------
     SweepResult
     """
-    ns = sorted(int(n) for n in n_values)
-    if not ns:
-        raise ValueError("n_values must be nonempty")
-    if len(set(ns)) != len(ns):
-        raise ValueError("n_values must be distinct")
     rows = []
-    for n in ns:
+    for n in sorted(_antenna_counts(n_values)):
         l_target = rule.target(n)
         layout, params, feasible = build_family_layout(family, n, l_target)
         norm = spectral_norm(si_matrix(layout, rho))
@@ -125,11 +134,11 @@ class CoarrayScalingTable:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs), over at least two distinct xs."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 2:
-        raise ValueError("need at least two points for a slope")
+    if np.unique(xs).size < 2:
+        raise ValueError("need at least two distinct x values for a slope")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs positive values")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
@@ -148,7 +157,7 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
     Parameters
     ----------
     n_values : iterable of int
-        Antenna counts per side, each >= 2.
+        Distinct antenna counts per side, each >= 2; rows keep their order.
     target_aperture : callable, optional
         Maps N to the desired joint aperture.
 
@@ -159,12 +168,10 @@ def coarray_scaling(n_values, target_aperture=None) -> CoarrayScalingTable:
     if target_aperture is None:
         target_aperture = ApertureRule(kind=RULE_QUADRATIC).target
     rows = []
-    for n in n_values:
+    for n in _antenna_counts(n_values):
         layout, params, _ = build_family_layout("nested", n, target_aperture(n))
         contiguous_len = int(sum_coarray(layout).contiguous_len)
-        rows.append(CoarrayScalingRow(int(n), contiguous_len, int(layout.joint_aperture), **dict(params)))
-    if not rows:
-        raise ValueError("n_values must be nonempty")
+        rows.append(CoarrayScalingRow(n, contiguous_len, int(layout.joint_aperture), **dict(params)))
     slope = loglog_slope([r.n for r in rows], [r.contiguous_len for r in rows])
     return CoarrayScalingTable(rows=tuple(rows), slope=slope)
 

@@ -9,6 +9,11 @@ CSV reader parses each distinct cell text once. An SI matrix, Toeplitz or
 mirror-symmetric, holds O(N) distinct values among its N² entries. When
 more than half the entries are distinct, the writers format every entry
 row by row instead, which is then the faster way.
+
+Whether a matrix CSV file holds plain or "a+bi" cells is decided by
+`si_model.numeric_matrix`, the rule spectra and sign patterns take too. A
+matrix JSON file stores every entry's raw (re, im) pair, so its complex
+dtype and -0.0 imaginary parts round-trip exactly.
 """
 
 import json
@@ -22,7 +27,7 @@ from .beampattern import BeampatternCurve
 from .coarray import SumCoarray
 from .experiments import CoarrayScalingTable, Fig2Study, SweepResult
 from .geometry import FullDuplexLayout, parse_position
-from .si_model import as_matrix
+from .si_model import as_matrix, numeric_matrix
 from .spectral import SingularSpectrum
 
 GEOMETRY_UNITS = "half-wavelength"
@@ -118,58 +123,36 @@ def _parse_cell(cell: str) -> complex:
     return complex(float(cell), 0.0)
 
 
-def _distinct(keys: np.ndarray):
-    """``(sorted distinct keys, index of each key among them)`` of an integer
-    array, flattened; None when more than half the keys are distinct."""
-    flat = keys.ravel()
-    ordered = np.sort(flat)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 2 * distinct.size > flat.size:
-        return None
-    return distinct, np.searchsorted(distinct, flat)
-
-
 def _entry_texts(arr: np.ndarray, cell):
     """``cell`` of every entry of a float64 or complex128 matrix, as row lists.
 
-    Entries are told apart by their exact bits (-0.0 is not 0.0), and each
-    distinct entry is formatted once: an SI matrix holds O(N) distinct
-    values among its N² entries. Returns None when more than half the
-    entries are distinct: sorting and holding every text at once then
-    costs more than it saves (a quarter more time for CSV, two to three
-    times as much for JSON, on all-distinct 300x300 matrices).
+    One sort over the float64 bit patterns of each entry's real part, and
+    imaginary part when complex (-0.0 is not 0.0), groups equal entries;
+    each group is formatted once. An SI matrix holds O(N) distinct values
+    among its N² entries. Returns None when more than half the entries are
+    distinct: sorting and holding every text at once then costs more than
+    it saves (a quarter more time for CSV, two to three times as much for
+    JSON, on all-distinct 300x300 matrices).
     """
-    if not np.iscomplexobj(arr):
-        found = _distinct(arr.view(np.uint64))
-        if found is None:
-            return None
-        keys, index = found
-        values = keys.view(np.float64)
-    else:
-        parts = [_distinct(part.view(np.uint64)) for part in (arr.real, arr.imag)]
-        if None in parts:
-            return None
-        (re_keys, re_index), (im_keys, im_index) = parts
-        found = _distinct(re_index * im_keys.size + im_index)
-        if found is None:
-            return None
-        keys, index = found
-        values = np.empty(keys.size, dtype=complex)
-        values.real = re_keys.view(np.float64)[keys // im_keys.size]
-        values.imag = im_keys.view(np.float64)[keys % im_keys.size]
-    texts = np.array(list(map(cell, values.tolist())), dtype=object)
+    parts = (arr.imag, arr.real) if np.iscomplexobj(arr) else (arr,)
+    keys = [part.view(np.uint64).ravel() for part in parts]
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+    starts = np.ones(order.size, dtype=bool)
+    ranked = [k[order] for k in keys]
+    starts[1:] = np.any([r[1:] != r[:-1] for r in ranked], axis=0)
+    if 2 * np.count_nonzero(starts) > order.size:
+        return None
+    index = np.empty_like(order)
+    index[order] = np.cumsum(starts) - 1
+    texts = np.array(list(map(cell, arr.ravel()[order[starts]].tolist())), dtype=object)
     return texts[index.reshape(arr.shape)].tolist()
 
 
 def write_matrix_csv(matrix, path) -> None:
-    """Write a matrix as CSV: plain values when real, 'a+bi' cells otherwise."""
-    arr = as_matrix(matrix)
-    if np.iscomplexobj(arr) and arr.imag.any():
-        arr, cell = arr.astype(complex, copy=False), _complex_cell
-    else:
-        arr, cell = arr.real.astype(float, copy=False), repr
+    """Write a matrix as CSV: plain values when `si_model.numeric_matrix`
+    makes it float64, 'a+bi' cells when it makes it complex128."""
+    arr = numeric_matrix(matrix)
+    cell = _complex_cell if np.iscomplexobj(arr) else repr
     texts = _entry_texts(arr, cell)
     if texts is None:
         _write_lines(path, (",".join(map(cell, row)) for row in arr.tolist()))
@@ -180,11 +163,11 @@ def write_matrix_csv(matrix, path) -> None:
 def load_matrix_csv(path) -> np.ndarray:
     """Load a matrix written by `write_matrix_csv`.
 
-    Returns a float matrix when no cell carries an imaginary part, a
-    complex matrix otherwise. Each distinct cell text is parsed once, a
-    plain cell by `float` and an "a+bi" cell by `complex` as "a+bj", so a
-    cell "bi" with no real part reads as 0+bi. A cell that is neither raises
-    ValueError naming the file.
+    Returns the cells as `si_model.numeric_matrix` makes them: float64 when
+    no cell carries a nonzero imaginary part, complex128 otherwise. Each
+    distinct cell text is parsed once, a plain cell by `float` and an "a+bi"
+    cell by `complex` as "a+bj", so a cell "bi" with no real part reads as
+    0+bi. A cell that is neither raises ValueError naming the file.
     """
     lines = [line for line in _read_text(path).split("\n") if line.strip()]
     if not lines:
@@ -203,8 +186,7 @@ def load_matrix_csv(path) -> np.ndarray:
             raise ValueError(f"malformed matrix cell in {path}: {exc}") from exc
     if len(values) < len(cells):
         values = list(map(dict(zip(distinct, values)).__getitem__, cells))
-    arr = np.array(values, dtype=dtype).reshape(len(lines), -1)
-    return arr.real.copy() if dtype is complex and not arr.imag.any() else arr
+    return numeric_matrix(np.array(values, dtype=dtype).reshape(len(lines), -1))
 
 
 def write_matrix_json(matrix, path) -> None:

@@ -205,14 +205,6 @@ class FullDuplexLayout:
             raise ColocatedAntennaError(f"colocated Tx/Rx antenna at position(s) {at}")
 
     @property
-    def n_tx(self) -> int:
-        return len(self.tx)
-
-    @property
-    def n_rx(self) -> int:
-        return len(self.rx)
-
-    @property
     def joint_aperture(self) -> int | Fraction:
         """Extent of the union of Tx and Rx positions."""
         ends = [_value(s.ticks[i], s.denom) for s in (self.tx, self.rx) for i in (0, -1)]
@@ -251,7 +243,10 @@ class ValidationReport:
 
 
 def _at_least(minimum: int, **params) -> None:
+    """ValueError naming the first parameter that is not an integer (not a bool) >= minimum."""
     for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
 

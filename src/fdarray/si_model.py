@@ -64,6 +64,19 @@ def as_matrix(matrix, dtype=None) -> np.ndarray:
     return arr
 
 
+def numeric_matrix(matrix) -> np.ndarray:
+    """`as_matrix` as float64 when its entries are exactly real, else complex128.
+
+    The one real-or-complex rule of fdarray: boolean, integer and float
+    entries become float64, anything else complex128, and a complex matrix
+    whose imaginary parts are all zero becomes (a copy of) its float64 real
+    part. Spectra, sign patterns and matrix CSV files all take it.
+    """
+    arr = as_matrix(matrix)
+    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
+    return arr.real.copy() if arr.dtype.kind == "c" and not arr.imag.any() else arr
+
+
 def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
     """Exact |d_rx[n] - d_tx[m]| matrix of a layout.
 
@@ -156,10 +169,9 @@ def sign_pattern(h: SIChannelMatrix) -> str:
         is exactly (-1)**distance with both parities present;
         ``'mixed'`` otherwise.
     """
-    arr = h.h
-    if np.iscomplexobj(arr) and arr.imag.any():
+    re = numeric_matrix(h)
+    if np.iscomplexobj(re):
         return SIGN_COMPLEX
-    re = arr.real
     if np.all(re > 0) or np.all(re < 0):
         return SIGN_UNIFORM
     odd, frac = _parity(h.delta)

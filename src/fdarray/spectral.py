@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .si_model import as_matrix
+from .si_model import numeric_matrix
 
 
 @dataclass(frozen=True)
@@ -40,26 +40,20 @@ class SingularSpectrum:
 
 
 def _as_matrix(h) -> np.ndarray:
-    """Validated 2-D float64 or complex128 array of a matrix-like.
-
-    Boolean, integer and float inputs become float64, anything else
-    complex128, and a complex matrix whose entries are all exactly real (a
-    caller's array or a loaded matrix file) becomes its float64 real part,
-    so such a matrix is decomposed in real arithmetic.
+    """Validated `si_model.numeric_matrix` of a matrix-like: float64 when its
+    entries are exactly real, so it is decomposed in real arithmetic, else
+    complex128.
 
     Raises
     ------
     ValueError
         On a non-2-D or empty matrix, or non-finite entries.
     """
-    arr = as_matrix(h)
-    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
+    arr = numeric_matrix(h)
     if arr.size == 0:
         raise ValueError("cannot decompose an empty matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
-    if np.iscomplexobj(arr) and not arr.imag.any():
-        arr = arr.real
     return arr
 
 
@@ -100,13 +94,14 @@ def svd_spectrum(h) -> SingularSpectrum:
     """Full singular spectrum of a matrix.
 
     Computes singular values only, by the same call as `spectral_norm`, so
-    ``sigmas[0]`` equals its σ₁ bit for bit. A real matrix, such as the SI
-    matrix of an integer-grid layout, or a complex one whose entries are
-    all exactly real, is decomposed in real arithmetic. A real square
-    matrix that is symmetric up to the order of its rows, such as the SI
-    matrix of an integer-grid layout whose Tx side mirrors its Rx side,
-    gets its values as the eigenvalue magnitudes of the symmetric form, to
-    an absolute error of O(ε·σ₁) like the SVD's.
+    ``sigmas[0]`` equals its σ₁ bit for bit. A matrix that
+    `si_model.numeric_matrix` makes float64, such as the SI matrix of an
+    integer-grid layout or a complex one whose imaginary parts are all
+    zero, is decomposed in real arithmetic. A real square matrix that is
+    symmetric up to the order of its rows, such as the SI matrix of an
+    integer-grid layout whose Tx side mirrors its Rx side, gets its values
+    as the eigenvalue magnitudes of the symmetric form, to an absolute
+    error of O(ε·σ₁) like the SVD's.
 
     Parameters
     ----------
@@ -128,10 +123,10 @@ def spectral_norm(h) -> float:
     """Largest singular value (worst-case SI amplification).
 
     Computes singular values only, by the same call as `svd_spectrum`. A
-    real matrix, or a complex one whose entries are all exactly real, is
-    decomposed in real arithmetic, and a real square matrix that is
-    symmetric up to the order of its rows by the symmetric eigensolver,
-    to an absolute error of O(ε·σ₁) like the SVD's.
+    matrix that `si_model.numeric_matrix` makes float64 is decomposed in
+    real arithmetic, and a real square matrix that is symmetric up to the
+    order of its rows by the symmetric eigensolver, to an absolute error of
+    O(ε·σ₁) like the SVD's.
 
     Raises
     ------

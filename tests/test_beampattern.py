@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_array_factor_range_checks():
         array_factor(g, 2.0)
     with pytest.raises(ValueError):
         array_factor(g, 0.0, theta_s=-2.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, [0.1, math.nan]], ids=["nan", "list-with-nan"])
+def test_array_factor_rejects_nan_angles(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^theta must lie in \[-pi/2, pi/2\]$"):
+            array_factor(ula(3), theta)
 
 
 def test_array_factor_of_no_angles_is_empty():

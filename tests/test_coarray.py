@@ -124,6 +124,22 @@ def test_scaling_rejects_empty():
         coarray_scaling([])
 
 
+def test_scaling_rejects_repeated_and_non_integer_counts():
+    with pytest.raises(ValueError, match="n_values must be distinct"):
+        coarray_scaling([10, 10])
+    for bad in ([10.7, 20], [True, 20]):
+        with pytest.raises(ValueError, match="n_values must be integers"):
+            coarray_scaling(bad)
+
+
+def test_scaling_keeps_the_given_order():
+    table = coarray_scaling([20, 10])
+    assert [row.n for row in table.rows] == [20, 10]
+    assert [(r.n, r.contiguous_len) for r in reversed(table.rows)] == [
+        (r.n, r.contiguous_len) for r in coarray_scaling([10, 20]).rows
+    ]
+
+
 def test_scaling_rejects_non_finite_target():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -135,6 +151,8 @@ def test_loglog_slope_validation():
         loglog_slope([1], [2])
     with pytest.raises(ValueError):
         loglog_slope([1, 2], [0, 3])
+    with pytest.raises(ValueError, match="two distinct x values"):
+        loglog_slope([10, 10], [29, 31])
     assert abs(loglog_slope([1, 2, 4], [3, 12, 48]) - 2.0) < 1e-12
 
 

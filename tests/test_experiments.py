@@ -124,6 +124,15 @@ def test_sweep_input_validation():
         scaling_sweep("nested", [4, 4], rule)
 
 
+def test_sweep_rejects_non_integer_counts():
+    rule = ApertureRule(kind="quadratic")
+    for bad in ([10.7, 20], [20, True]):
+        with pytest.raises(ValueError, match="n_values must be integers"):
+            scaling_sweep("nested", bad, rule)
+    # numpy integers are counts; rows still come out sorted by N
+    assert [row.n for row in scaling_sweep("nested", np.array([20, 10]), rule).rows] == [10, 20]
+
+
 def test_sweep_csv_deterministic(tmp_path):
     rule = ApertureRule(kind="quadratic")
     result = scaling_sweep("interleaved", range(10, 41, 10), rule)

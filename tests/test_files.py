@@ -26,6 +26,7 @@ from fdarray.files import (
     write_matrix_json,
     write_scaling_csv,
 )
+from fdarray.si_model import numeric_matrix
 
 # fdarray.__all__: 52 names (the test oracle interleaved_closed_form_n2 and
 # si_leakage, a bare matrix-vector product, are no longer public)
@@ -108,6 +109,17 @@ def test_matrix_writers_match_per_cell_rendering(m):
         write_matrix_json(m, json_path)
         assert csv_path.read_bytes() == reference_matrix_csv(m).encode()
         assert json_path.read_bytes() == reference_matrix_json(m).encode()
+
+
+@SETTINGS
+@given(matrices())
+def test_matrix_csv_is_complex_exactly_when_numeric_matrix_is(m):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "m.csv")
+        write_matrix_csv(m, path)
+        cells = path.read_text().replace("\n", ",").split(",")[:-1]
+    # a real cell never ends in "i", not even "inf"
+    assert {cell.endswith("i") for cell in cells} == {np.iscomplexobj(numeric_matrix(m))}
 
 
 @SETTINGS

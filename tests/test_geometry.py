@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fdarray.files import layout_from_dict, layout_to_dict, load_layout, save_layout
@@ -113,6 +114,26 @@ def test_generator_parameter_validation():
     for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
         with pytest.raises(ValueError):
             generate_nested(*bad)
+
+
+@pytest.mark.parametrize(
+    "generate, args, name",
+    [
+        (generate_partitioned, (3.5,), "n"),
+        (generate_nested, (2.5, 2, 1), "m1"),
+        (generate_partitioned, (4, 0.5), "delta1"),
+        (generate_nested, (True, 2, 1), "m1"),
+    ],
+    ids=["partitioned-half-n", "nested-half-m1", "partitioned-half-gap", "nested-bool-m1"],
+)
+def test_generators_reject_non_integer_sizes(generate, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        generate(*args)
+
+
+def test_generators_take_numpy_integers():
+    assert generate_partitioned(np.int64(3), np.int32(1)) == generate_partitioned(3, 1)
+    assert generate_nested(*np.array([2, 2, 1])) == generate_nested(2, 2, 1)
 
 
 def test_array_geometry_invariants():

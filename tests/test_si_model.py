@@ -29,6 +29,7 @@ from fdarray.si_model import (
     SIChannelMatrix,
     distance_matrix,
     is_toeplitz,
+    numeric_matrix,
     si_matrix,
     sign_pattern,
 )
@@ -256,6 +257,27 @@ def test_matrix_csv_round_trip_real(tmp_path):
     loaded = load_matrix_csv(path)
     assert loaded.dtype == float
     assert np.array_equal(loaded, ch.h.real)
+
+
+@pytest.mark.parametrize(
+    "arr, want",
+    [
+        (np.array([[True, False]]), [[1.0, 0.0]]),
+        (np.array([[1, -2], [3, 2**53 + 1]]), [[1.0, -2.0], [3.0, 2.0**53]]),
+        (np.array([[0.1, -1e-40]], dtype=np.float32), [[float(np.float32(0.1)), float(np.float32(-1e-40))]]),
+        (np.array([[Fraction(1, 3), Fraction(-7, 2)]], dtype=object), [[1 / 3, -3.5]]),
+        (np.array([[1.5 + 0j, -2.0 + 0j]]), [[1.5, -2.0]]),
+        (np.array([[1.5 - 0.0j, complex(-0.0, -0.0)]]), [[1.5, -0.0]]),
+        (np.array([[1.5 - 0.0j, 2.0 + 1e-300j]]), [[1.5 - 0.0j, 2.0 + 1e-300j]]),
+    ],
+    ids=["bool", "int", "float32", "fractions", "zero-imaginary", "negative-zero-imaginary", "complex"],
+)
+def test_numeric_matrix_is_float64_unless_an_imaginary_part_is_nonzero(arr, want):
+    got = numeric_matrix(arr)
+    assert got.dtype == np.asarray(want).dtype
+    assert got.tobytes() == np.asarray(want).tobytes()
+    if got.dtype == np.float64 and np.iscomplexobj(arr):
+        assert got.flags.owndata  # a copy, not a strided view of the complex array
 
 
 @pytest.mark.parametrize(
