@@ -254,28 +254,6 @@ def _local_peak_index(curve: BeampatternCurve) -> int:
     return i
 
 
-def _first_minimum(db: np.ndarray, start: int, step: int) -> int | None:
-    i = start + step
-    while 0 < i < len(db) - 1:
-        if db[i] <= db[i - 1] and db[i] <= db[i + 1]:
-            return i
-        i += step
-    return None
-
-
-def _half_power_crossing(curve: BeampatternCurve, peak_idx: int, target: float, step: int) -> float:
-    db = curve.gains_db
-    th = curve.thetas
-    i = peak_idx
-    while 0 <= i + step < len(db) and db[i + step] > target:
-        i += step
-    j = i + step
-    if j < 0 or j >= len(db):
-        raise ValueError("curve never drops to the half-power level; cannot measure width")
-    frac = (db[i] - target) / (db[i] - db[j])
-    return float(th[i] + frac * (th[j] - th[i]))
-
-
 def main_lobe_width(curve: BeampatternCurve) -> MainLobeWidth:
     """Width of the main lobe around the steering angle.
 
@@ -289,33 +267,30 @@ def main_lobe_width(curve: BeampatternCurve) -> MainLobeWidth:
     ValueError
         For a flat curve with no lobe to measure (e.g. single antenna).
     """
-    db = curve.gains_db
+    db, th = curve.gains_db, curve.thetas
     if float(db.max() - db.min()) < 1e-9:
         raise ValueError("degenerate flat curve has no main lobe")
-    peak_idx = _local_peak_index(curve)
-    peak_db = float(db[peak_idx])
+    peak = _local_peak_index(curve)
+    peak_db = float(db[peak])
 
-    left_idx = _first_minimum(db, peak_idx, -1)
-    right_idx = _first_minimum(db, peak_idx, +1)
-    deep_enough = (
-        left_idx is not None
-        and right_idx is not None
-        and db[left_idx] <= peak_db - 20.0
-        and db[right_idx] <= peak_db - 20.0
-    )
-    if deep_enough:
-        left = _refine_parabolic(curve.thetas, db, left_idx)
-        right = _refine_parabolic(curve.thetas, db, right_idx)
-        return MainLobeWidth(
-            width=right - left, method=METHOD_NULL_TO_NULL, left=left, right=right
-        )
+    # first nulls: the nearest interior samples on each side of the peak no higher than either neighbour
+    nulls = np.flatnonzero((db[1:-1] <= db[:-2]) & (db[1:-1] <= db[2:])) + 1
+    before, after = nulls[nulls < peak], nulls[nulls > peak]
+    if before.size and after.size and db[before[-1]] <= peak_db - 20.0 and db[after[0]] <= peak_db - 20.0:
+        left, right = (_refine_parabolic(th, db, int(i)) for i in (before[-1], after[0]))
+        return MainLobeWidth(width=right - left, method=METHOD_NULL_TO_NULL, left=left, right=right)
 
+    # each crossing: between the nearest sample j at or below half power and its neighbour i toward the peak
     target = peak_db - _HALF_POWER_DB
-    left = _half_power_crossing(curve, peak_idx, target, -1)
-    right = _half_power_crossing(curve, peak_idx, target, +1)
-    return MainLobeWidth(
-        width=right - left, method=METHOD_HALF_POWER, left=left, right=right
+    below = np.flatnonzero(db <= target)
+    before, after = below[below < peak], below[below > peak]
+    if not (before.size and after.size):
+        raise ValueError("curve never drops to the half-power level; cannot measure width")
+    left, right = (
+        float(th[i] + (db[i] - target) / (db[i] - db[j]) * (th[j] - th[i]))
+        for j, i in ((before[-1], before[-1] + 1), (after[0], after[0] - 1))
     )
+    return MainLobeWidth(width=right - left, method=METHOD_HALF_POWER, left=left, right=right)
 
 
 def grating_lobes(curve: BeampatternCurve, tol_db: float = 0.5) -> list[float]:

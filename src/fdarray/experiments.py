@@ -44,6 +44,8 @@ class ApertureRule:
             object.__setattr__(self, "coeff", DEFAULT_COEFF[self.kind])
         for name in ("coeff", "l_max"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"aperture rule {name} must be a number, not a bool, got {value!r}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"aperture rule {name} must be finite, got {value}")
         if self.coeff <= 0:

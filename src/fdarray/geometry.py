@@ -322,8 +322,10 @@ def validate(tx, rx=None) -> ValidationReport:
 
     Colocated Tx/Rx positions are reported as errors since they make the
     channel model singular; duplicate positions within one side, positions
-    that are not numbers and empty sides are also errors (they cannot form
-    geometries); everything else is informational.
+    that are not numbers, sides past the 2**62 tick limit and empty sides
+    are also errors (they cannot form geometries); everything else is
+    informational. So the report is ok exactly when ``FullDuplexLayout``
+    builds from the same positions.
 
     Parameters
     ----------
@@ -361,6 +363,11 @@ def validate(tx, rx=None) -> ValidationReport:
         dups = sorted(p for p, count in Counter(pos).items() if count > 1)
         if dups:
             errors.append(f"duplicate {name} position(s): {', '.join(map(str, dups))}")
+        elif pos:
+            try:
+                ArrayGeometry(pos)
+            except ValueError as exc:  # the 2**62 tick limit
+                errors.append(f"{name} side: {exc}")
     tx_pos, rx_pos = sides.values()
     shared = sorted(set(tx_pos) & set(rx_pos))
     if shared:

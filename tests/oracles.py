@@ -76,6 +76,24 @@ def interleaved_closed_form_n2(rho: float, delta2: int) -> tuple[float, float]:
     )
 
 
+def interleaved_sigma1_bracket(n: int) -> tuple[float, float]:
+    """Bounds on sigma_1 of the interleaved channel at rho = 1, delta2 = 1, from harmonic sums.
+
+    Every distance is odd, |2k + 1| with k = m - n, so every entry is
+    -1/|2k + 1|. The all-ones Rayleigh quotient |1'H1|/N lies below sigma_1
+    and the Schur bound sqrt(||H||_1 ||H||_inf) above it. With
+    P[p] = sum_{j < p} 1/(2j + 1), row n sums to P[N - n] + P[n] and column
+    m to P[m + 1] + P[N - 1 - m].
+    """
+    k = np.arange(1 - n, n)
+    rayleigh = float(np.sum((n - np.abs(k)) / np.abs(2 * k + 1))) / n
+    p = np.concatenate(([0.0], np.cumsum(1.0 / (2 * np.arange(n) + 1))))
+    i = np.arange(n)
+    rows = p[n - i] + p[i]
+    cols = p[i + 1] + p[n - 1 - i]
+    return rayleigh, math.sqrt(float(rows.max()) * float(cols.max()))
+
+
 def factored_svd(a):
     """U, S, V* of LAPACK's full factorisation of a matrix, S descending.
 

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,11 @@ from test_properties import rational_layouts
 
 from fdarray.beampattern import (
     DB_FLOOR,
+    _HALF_POWER_DB,
     BeampatternCurve,
+    MainLobeWidth,
+    _local_peak_index,
+    _refine_parabolic,
     _runs,
     array_factor,
     beampattern,
@@ -430,3 +435,78 @@ def test_grating_lobes_match_loop_reference_on_patterns(grid_size):
                 curve = beampattern(g, theta_s, grid_size=grid_size, normalized=normalized)
                 for tol_db in (0.5, 6.0):
                     assert grating_lobes(curve, tol_db) == reference_grating_lobes(curve, tol_db)
+
+
+# --- main-lobe width against per-sample walkers -------------------------------
+
+
+def reference_main_lobe_width(curve):
+    """The per-sample walk: outward from the peak to the first local minimum on
+    each side, else to the first sample at or below half power."""
+    db, th = curve.gains_db, curve.thetas
+    if float(db.max() - db.min()) < 1e-9:
+        raise ValueError("degenerate flat curve has no main lobe")
+    peak = _local_peak_index(curve)
+    peak_db = float(db[peak])
+
+    def first_minimum(step):
+        i = peak + step
+        while 0 < i < len(db) - 1:
+            if db[i] <= db[i - 1] and db[i] <= db[i + 1]:
+                return i
+            i += step
+        return None
+
+    def half_power_crossing(step):
+        i = peak
+        while 0 <= i + step < len(db) and db[i + step] > target:
+            i += step
+        j = i + step
+        if j < 0 or j >= len(db):
+            raise ValueError("curve never drops to the half-power level; cannot measure width")
+        frac = (db[i] - target) / (db[i] - db[j])
+        return float(th[i] + frac * (th[j] - th[i]))
+
+    nulls = first_minimum(-1), first_minimum(+1)
+    if None not in nulls and all(db[i] <= peak_db - 20.0 for i in nulls):
+        left, right = (_refine_parabolic(th, db, i) for i in nulls)
+        return MainLobeWidth(width=right - left, method="null_to_null", left=left, right=right)
+    target = peak_db - _HALF_POWER_DB
+    left, right = half_power_crossing(-1), half_power_crossing(+1)
+    return MainLobeWidth(width=right - left, method="half_power", left=left, right=right)
+
+
+def lobe_width_or_error(measure, curve):
+    try:
+        return measure(curve)
+    except ValueError as exc:
+        return str(exc)
+
+
+def lobe_pattern_curves():
+    """ULA and family-side patterns, steered and normalized, at 3 to 16384 points."""
+    sides = [ula(16), ula(8, spacing=4), generate_interleaved(11, 2).rx, generate_nested(6, 5, 3).rx]
+    sides += [build_family_layout(f, 40, ApertureRule(kind="linear").target(40))[0].tx for f in FAMILIES]
+    for grid_size in (3, 33, 4096, 16384):
+        for g in sides:
+            for theta_s in (0.0, 0.3, -1.2, 1.5):
+                for normalized in (False, True):
+                    yield beampattern(g, theta_s, grid_size=grid_size, normalized=normalized)
+
+
+def test_main_lobe_width_matches_loop_reference():
+    outcomes = Counter()
+    for curve in [*synthetic_curves(), *lobe_pattern_curves()]:
+        got = lobe_width_or_error(main_lobe_width, curve)
+        assert got == lobe_width_or_error(reference_main_lobe_width, curve)
+        outcomes[got if isinstance(got, str) else got.method] += 1
+    # both methods and both errors are reached
+    assert len(outcomes) == 4, outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(progression_unions(), st.floats(-np.pi / 2, np.pi / 2), st.sampled_from([3, 4, 5, 33, 257]), st.booleans())
+def test_main_lobe_width_matches_loop_reference_on_progression_unions(g, theta_s, grid_size, normalized):
+    curve = beampattern(g, theta_s, grid_size=grid_size, normalized=normalized)
+    got = lobe_width_or_error(main_lobe_width, curve)
+    assert got == lobe_width_or_error(reference_main_lobe_width, curve)

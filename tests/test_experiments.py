@@ -49,6 +49,14 @@ def test_aperture_rule_rejects_non_finite_inputs():
             ApertureRule(kind="quadratic", l_max=bad)
 
 
+def test_aperture_rule_rejects_bools():
+    # True would read as a coefficient of 1 and False as an aperture cap of 0
+    for name in ("coeff", "l_max"):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match=f"^aperture rule {name} must be a number, not a bool, got "):
+                ApertureRule(kind="linear", **{name: flag})
+
+
 def test_build_family_layout_rejects_non_finite_target():
     for family in FAMILIES:
         for bad in (math.inf, -math.inf, math.nan):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdarray.files import layout_from_dict, layout_to_dict, load_layout, save_layout
 from fdarray.geometry import (
@@ -231,6 +233,42 @@ def test_validate_reports_unparseable_positions():
     report = validate(["x", 1, 1], [1])
     assert any("duplicate tx" in e for e in report.errors)
     assert any("colocated" in e for e in report.errors)
+
+
+def test_validate_reports_sides_past_the_tick_limit():
+    # the constructors reject both; validate reports their message as a side error
+    for tx in ([2**62], ["1/4611686018427387905"]):
+        report = validate(tx, [0])
+        assert not report.ok and not report.notes
+        with pytest.raises(ValueError) as built:
+            FullDuplexLayout(tx, [0])
+        assert report.errors == (str(built.value),)
+        assert report.errors[0].startswith("tx side: positions do not fit int64 ticks")
+    assert validate([0], [-(2**62) + 1, 2**62 - 1]).ok
+
+
+# positions drawn from small pools, so duplicates and shared Tx/Rx values are common
+position_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**62 - 1, 2**62, -(2**62) + 1, -(2**62), 2**63]),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.sampled_from([1, 2, 3, 2**31 - 1, 2**61 - 1, 2**62 + 1])),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 2**64)),
+    st.fractions(max_denominator=4),
+    st.sampled_from([0.5, -1.0, 1e-300, 2.0**62, float("nan"), float("inf")]),
+    st.booleans(),
+    st.sampled_from([None, "x", "1/0", 1j, [1], "1e999999999"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(position_values, max_size=5), st.lists(position_values, max_size=5))
+def test_validate_is_ok_exactly_when_the_layout_builds(tx, rx):
+    try:
+        FullDuplexLayout(tx, rx)
+        builds = True
+    except (TypeError, ValueError):
+        builds = False
+    assert validate(tx, rx).ok == builds
 
 
 def test_layout_json_round_trip(tmp_path):

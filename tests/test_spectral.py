@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import factored_svd, interleaved_closed_form_n2, singular_values_2x2, singular_values_3x3
+from oracles import (
+    factored_svd,
+    interleaved_closed_form_n2,
+    interleaved_sigma1_bracket,
+    singular_values_2x2,
+    singular_values_3x3,
+)
 from test_properties import rational_layouts
 
 from fractions import Fraction
@@ -141,6 +147,38 @@ def test_partitioned_large_gap_limit_structure():
     col = np.array([1.0, -1.0]) / delta1
     approx = np.column_stack([col, -col]) * (-1.0) ** delta1
     assert np.max(np.abs(h - approx)) < 5.0 / delta1**2
+
+
+# --- worst-case SI of the two Toeplitz families -----------------------------
+
+
+def interleaved_sigma1(n, delta2):
+    return spectral_norm(si_matrix(generate_interleaved(n, delta2), 1.0))
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_interleaved_sigma1_scales_as_one_over_the_spacing(n):
+    # every distance is delta2*|2k + 1|, so H(N, delta2) = +-H(N, 1)/delta2 entrywise
+    base = interleaved_sigma1(n, 1)
+    for delta2 in (2, 3, 13, 104):
+        assert abs(delta2 * interleaved_sigma1(n, delta2) - base) <= 1e-13 * base
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_interleaved_sigma1_lies_between_harmonic_sum_bounds(n):
+    # both bounds grow like ln N, and so does sigma_1
+    lower, upper = interleaved_sigma1_bracket(n)
+    assert lower <= interleaved_sigma1(n, 1) <= upper
+    assert 0 < upper - lower < 0.5
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_partitioned_sigma1_stays_below_rho_pi(n):
+    # with its rows reversed H is +-D K D, D = diag((-1)**i) and K_ij = 1/(i + j + 1 + delta1):
+    # Hilbert's inequality bounds ||K|| by pi for every N and delta1 >= 0
+    rho = 0.7
+    for delta1 in (0, 1, 5):
+        assert spectral_norm(si_matrix(generate_partitioned(n, delta1), rho)) < rho * math.pi
 
 
 def test_spectrum_rejects_bad_input():
