@@ -67,6 +67,17 @@ def _value(tick, denom: int) -> int | Fraction:
     return int(tick) if denom == 1 else Fraction(int(tick), denom)
 
 
+def _side_positions(positions) -> list:
+    """The positions of one side as a list; a str, bytes or non-iterable side raises TypeError."""
+    try:
+        items = None if isinstance(positions, (str, bytes, bytearray)) else iter(positions)
+    except TypeError:
+        items = None
+    if items is None:
+        raise TypeError(f"expected an iterable of antenna positions, got {type(positions).__name__}")
+    return list(items)
+
+
 def _check_fits(biggest: int, denom: int) -> None:
     if max(denom, biggest) >= 2**62:
         raise ValueError(f"positions do not fit int64 ticks: common denominator {denom}, limit 2**62")
@@ -85,14 +96,15 @@ class ArrayGeometry:
     ----------
     positions : iterable of int, float, str or Fraction
         Finite antenna positions, not booleans. Duplicates, and ticks or a
-        common denominator of 2**62 or more, raise ``ValueError``.
+        common denominator of 2**62 or more, raise ``ValueError``; a str,
+        bytes or non-iterable ``positions`` raises ``TypeError``.
     """
 
     ticks: np.ndarray
     denom: int
 
     def __init__(self, positions):
-        values = [_exact(p) for p in positions]
+        values = [_exact(p) for p in _side_positions(positions)]
         if not values:
             raise ValueError("geometry needs at least one antenna position")
         denom = math.lcm(*(v.denominator for v in values))
@@ -193,7 +205,7 @@ class FullDuplexLayout:
             g = getattr(self, name)
             if not isinstance(g, ArrayGeometry):
                 try:
-                    object.__setattr__(self, name, ArrayGeometry(tuple(g)))
+                    object.__setattr__(self, name, ArrayGeometry(g))
                 except (TypeError, ValueError) as exc:
                     raise type(exc)(f"{name} side: {exc}") from None
         # a shared position's reduced denominator divides q, so it is a whole tick over q on both sides
@@ -218,7 +230,8 @@ class FullDuplexLayout:
 def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
     """Positions as int64 ticks over their common denominator.
 
-    Returns ``(ticks, denom)``: one int64 array per geometry, with
+    Returns ``(ticks, denom)``: one int64 array per geometry (its own
+    read-only ``ticks`` when its denominator is the common one), with
     ``position == tick / denom`` exactly. Raises ValueError, naming the
     denominator, when it or any tick reaches 2**62 (so tick sums and
     differences fit int64); ticks never wrap. Each geometry checked its own
@@ -227,7 +240,20 @@ def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
     denom = math.lcm(*(g.denom for g in geometries))
     scales = [denom // g.denom for g in geometries]
     _check_fits(max(max(-int(g.ticks[0]), int(g.ticks[-1])) * s for g, s in zip(geometries, scales)), denom)
-    return [g.ticks * s for g, s in zip(geometries, scales)], denom
+    return [g.ticks if s == 1 else g.ticks * s for g, s in zip(geometries, scales)], denom
+
+
+def _tabulates(span: int, count: int) -> bool:
+    """True when ``count`` values on the ticks 0..span are better served by
+    one table over the whole tick range than one by one.
+
+    Measured on SI synthesis (2-vCPU x86-64 VM, numpy 2.4): a kernel table
+    over the span plus a gather breaks even with per-entry evaluation at a
+    span of about count/2 on integer layouts (about count when every
+    distance is fractional), and costs 2-150x more at spans of 1.5-100x
+    count, as on layouts reloaded from float JSON over a 10**16 denominator.
+    """
+    return 2 * span <= count
 
 
 @dataclass(frozen=True)
@@ -322,8 +348,9 @@ def validate(tx, rx=None) -> ValidationReport:
 
     Colocated Tx/Rx positions are reported as errors since they make the
     channel model singular; duplicate positions within one side, positions
-    that are not numbers, sides past the 2**62 tick limit and empty sides
-    are also errors (they cannot form geometries); everything else is
+    that are not numbers, sides past the 2**62 tick limit, empty sides and
+    sides that are no iterable of positions (a str, a number, None) are
+    also errors (they cannot form geometries); everything else is
     informational. So the report is ok exactly when ``FullDuplexLayout``
     builds from the same positions.
 
@@ -350,10 +377,14 @@ def validate(tx, rx=None) -> ValidationReport:
 
     errors, sides = [], {}
     for name, side in (("tx", tx), ("rx", rx)):
-        values = list(side.positions if isinstance(side, ArrayGeometry) else side)
+        sides[name] = []
+        try:
+            values = _side_positions(side)
+        except TypeError as exc:
+            errors.append(f"{name} side: {exc}")
+            continue
         if not values:
             errors.append(f"{name} side has no antennas")
-        sides[name] = []
         for value in values:
             try:
                 sides[name].append(_exact(value))

@@ -5,6 +5,12 @@ half-wavelength units) is ``rho * exp(j*pi*d) / d``, with d held exactly as
 int64 ticks over the layout's common denominator. On the integer grid the
 phase factor collapses to an exact sign (-1)**d, read from the tick parity,
 so integer-grid channels are float64 matrices with exact signs.
+
+The entry is a function of the tick distance alone, so `si_matrix`
+evaluates the kernel once per tick value up to the largest distance and
+gathers the matrix from that table. Where the largest distance dwarfs the
+number of entries (layouts reloaded from float JSON over a 10**16
+denominator), it evaluates the same kernel once per entry instead.
 """
 
 import math
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ColocatedAntennaError, FullDuplexLayout, position_ticks
+from .geometry import ColocatedAntennaError, FullDuplexLayout, _tabulates, position_ticks
 
 SIGN_ALTERNATING = "alternating"
 SIGN_UNIFORM = "uniform"
@@ -33,10 +39,14 @@ class DistanceMatrix:
 
     def to_array(self) -> np.ndarray:
         """Distances as a float64 matrix, each rounded like ``float(Fraction)``."""
-        d, q = self.ticks, self.denom
-        if q < 2**53 and d.max() < 2**53:
-            return d / q  # both operands exact in float64: a correctly rounded quotient
-        return np.array([t / q for t in d.ravel().tolist()], dtype=float).reshape(d.shape)
+        return _quotients(self.ticks, self.denom)
+
+
+def _quotients(ticks: np.ndarray, denom: int) -> np.ndarray:
+    """ticks / denom as float64, each rounded like ``float(Fraction(tick, denom))``."""
+    if denom < 2**53 and ticks.max() < 2**53:
+        return ticks / denom  # both operands exact in float64: a correctly rounded quotient
+    return np.array([t / denom for t in ticks.ravel().tolist()], dtype=float).reshape(ticks.shape)
 
 
 @dataclass(frozen=True)
@@ -89,26 +99,44 @@ def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
         If the positions do not fit int64 ticks (see `position_ticks`).
     """
     (tx, rx), denom = position_ticks(layout.tx, layout.rx)
-    ticks = np.abs(rx[:, None] - tx[None, :])
-    if not ticks.all():
+    ticks = rx[:, None] - tx
+    np.abs(ticks, out=ticks)
+    if np.count_nonzero(ticks) < ticks.size:
         r = layout.rx.positions[ticks.min(axis=1).argmin()]
         raise ColocatedAntennaError(f"zero Tx-Rx distance at rx={r}")
     ticks.setflags(write=False)
     return DistanceMatrix(ticks=ticks, denom=denom)
 
 
-def _parity(delta: DistanceMatrix) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parity (0 or 1) of each distance's whole part, and the mask of the
-    fractional distances, None when there is none.
+def _parity(ticks: np.ndarray, denom: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parity (0 or 1) of the whole part of each distance ticks / denom, and
+    the mask of the fractional distances, None when there is none.
 
     On the integer grid (``denom == 1``) the parity is read from the ticks
     themselves, without a division.
     """
-    if delta.denom == 1:
-        return delta.ticks & 1, None
-    whole, rest = np.divmod(delta.ticks, delta.denom)
+    if denom == 1:
+        return ticks & 1, None
+    whole, rest = np.divmod(ticks, denom)
     frac = rest != 0
     return whole & 1, frac if frac.any() else None
+
+
+def _kernel(ticks: np.ndarray, rho: float, denom: int) -> np.ndarray:
+    """``rho * exp(j*pi*d) / d`` at the positive distances d = ticks / denom.
+
+    d is rounded as `DistanceMatrix.to_array` rounds it. A whole distance
+    gives the real value (-1)**d * rho / d, with its sign read from the
+    parity; the result is float64 when every distance is whole, else
+    complex128.
+    """
+    odd, frac = _parity(ticks, denom)
+    d = ticks if denom == 1 else _quotients(ticks, denom)
+    h = np.where(odd, -rho, rho) / d
+    if frac is not None:
+        h = h.astype(complex)
+        h[frac] = rho * np.exp(1j * np.pi * d[frac]) / d[frac]
+    return h
 
 
 def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
@@ -134,12 +162,22 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
         raise ValueError(f"rho must be > 0, got {rho}")
     rho = float(rho)
     delta = distance_matrix(layout)
-    odd, frac = _parity(delta)
-    df = delta.ticks if delta.denom == 1 else delta.to_array()
-    h = np.where(odd, -rho, rho) / df
-    if frac is not None:
-        h = h.astype(complex)
-        h[frac] = rho * np.exp(1j * np.pi * df[frac]) / df[frac]
+    t, q = delta.ticks, delta.denom
+    span = int(max(t[0, -1], t[-1, 0]))  # both sides are sorted: the largest distance spans the layout
+    if q < 2**53 and _tabulates(span, t.size):
+        # every distance is whole iff all ticks share one residue mod q, which
+        # the first row and column show; then only multiples of q are looked up
+        whole = q == 1 or not ((t[0] % q).any() or (t[:, 0] % q).any())
+        step = q if whole else 1
+        grid = np.arange(0, span + 1, step)
+        grid[0] = step  # no distance is zero, so this entry is never read
+        table = _kernel(grid, rho, q)
+        if step > 1:
+            values, table = table, np.empty(span + 1, table.dtype)
+            table[::step] = values
+        h = table[t]
+    else:
+        h = _kernel(t, rho, q)
     h.setflags(write=False)
     return SIChannelMatrix(h=h, rho=rho, layout=layout, delta=delta)
 
@@ -172,9 +210,11 @@ def sign_pattern(h: SIChannelMatrix) -> str:
     re = numeric_matrix(h)
     if np.iscomplexobj(re):
         return SIGN_COMPLEX
-    if np.all(re > 0) or np.all(re < 0):
+    negative = re < 0
+    below, above = np.count_nonzero(negative), np.count_nonzero(re > 0)
+    if re.size in (below, above):
         return SIGN_UNIFORM
-    odd, frac = _parity(h.delta)
-    if frac is not None or np.any(np.sign(re) != 1 - 2 * odd):
+    if below + above < re.size:  # a zero or a NaN has no sign
         return SIGN_MIXED
-    return SIGN_ALTERNATING
+    odd, frac = _parity(h.delta.ticks, h.delta.denom)
+    return SIGN_ALTERNATING if frac is None and np.array_equal(negative, odd) else SIGN_MIXED

@@ -235,6 +235,20 @@ def test_validate_reports_unparseable_positions():
     assert any("colocated" in e for e in report.errors)
 
 
+@pytest.mark.parametrize("side", ["45", "", b"\x01\x02", bytearray(b"\x03"), 5, 2.5, None])
+def test_a_side_that_is_no_iterable_of_positions_is_rejected(side):
+    message = f"expected an iterable of antenna positions, got {type(side).__name__}"
+    with pytest.raises(TypeError) as built:
+        ArrayGeometry(side)
+    assert str(built.value) == message
+    with pytest.raises(TypeError) as built:
+        FullDuplexLayout(side, [0])
+    assert str(built.value) == f"tx side: {message}"
+    assert validate(side, [0]).errors == (f"tx side: {message}",)
+    if side is not None:  # validate(tx) alone takes a layout
+        assert validate([0, 1], side).errors == (f"rx side: {message}",)
+
+
 def test_validate_reports_sides_past_the_tick_limit():
     # the constructors reject both; validate reports their message as a side error
     for tx in ([2**62], ["1/4611686018427387905"]):
@@ -260,8 +274,17 @@ position_values = st.one_of(
 )
 
 
+# a side is a list of positions, or something that is no iterable of positions
+rx_sides = st.one_of(
+    st.lists(position_values, max_size=5),
+    st.sampled_from(["45", "", "1/2", b"12", bytearray(b"3")]),
+    st.integers(-3, 3),
+)
+tx_sides = st.one_of(rx_sides, st.none())  # validate(tx, None) checks tx as a whole layout
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(position_values, max_size=5), st.lists(position_values, max_size=5))
+@given(tx_sides, rx_sides)
 def test_validate_is_ok_exactly_when_the_layout_builds(tx, rx):
     try:
         FullDuplexLayout(tx, rx)

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import fraction_distances, integer_grid_channel
 
 from fdarray.cli import main as cli_main
-from fdarray.experiments import ApertureRule, build_family_layout
+from fdarray.experiments import DEFAULT_COEFF, ApertureRule, build_family_layout
 from fdarray.files import (
     load_matrix_csv,
     load_matrix_json,
@@ -17,6 +19,7 @@ from fdarray.files import (
     write_matrix_json,
 )
 from fdarray.geometry import (
+    FAMILIES,
     ArrayGeometry,
     ColocatedAntennaError,
     FullDuplexLayout,
@@ -225,6 +228,150 @@ def test_sign_pattern_mixed_for_inconsistent_matrix():
     doctored[0, 1] = abs(doctored[0, 1])  # break the parity rule
     fake = SIChannelMatrix(h=doctored, rho=1.0, layout=base.layout, delta=base.delta)
     assert sign_pattern(fake) == "mixed"
+    # an entry without a sign, at an even and at an odd distance
+    for value in (0.0, -0.0, float("nan")):
+        for i, j in ((0, 0), (0, 1)):
+            doctored = base.h.copy()
+            doctored[i, j] = value
+            fake = SIChannelMatrix(h=doctored, rho=1.0, layout=base.layout, delta=base.delta)
+            assert sign_pattern(fake) == "mixed"
+
+
+def reference_si_matrix(layout, rho):
+    """The per-entry synthesis: the kernel evaluated at every entry's distance."""
+    delta = distance_matrix(layout)
+    whole, rest = np.divmod(delta.ticks, delta.denom)
+    frac = rest != 0
+    df = delta.ticks if delta.denom == 1 else delta.to_array()
+    h = np.where(whole & 1, -rho, rho) / df
+    if frac.any():
+        h = h.astype(complex)
+        h[frac] = rho * np.exp(1j * np.pi * df[frac]) / df[frac]
+    return h
+
+
+def reference_sign_pattern(h):
+    """The sign classes from signed int64 parities and ``np.sign``."""
+    re = numeric_matrix(h)
+    if np.iscomplexobj(re):
+        return "complex"
+    if np.all(re > 0) or np.all(re < 0):
+        return "uniform"
+    whole, rest = np.divmod(h.delta.ticks, h.delta.denom)
+    if rest.any() or np.any(np.sign(re) != 1 - 2 * (whole & 1)):
+        return "mixed"
+    return "alternating"
+
+
+def thirds(tx, rx):
+    return layout(tx=[Fraction(t, 3) for t in tx], rx=[Fraction(t, 3) for t in rx])
+
+
+@st.composite
+def rational_layouts(draw):
+    """2 to 40 antennas on ticks of 1/q, q up to past 2**53, dealt to Tx and
+    Rx at random. Gaps of one tick pack them densely (a kernel table); gaps
+    of up to 1e8 ticks spread them (one kernel call per entry). Half of the
+    layouts put every tick on one residue mod q, so that every distance is
+    whole although q > 1."""
+    q = draw(st.sampled_from([1, 2, 3, 7, 1000003, 2**53 - 1, 2**53, 2**53 + 1]))
+    whole = draw(st.booleans())
+    n = draw(st.integers(2, 40))
+    gap = draw(st.sampled_from([1, 2, 3, 10**8]))
+    if whole:
+        gap = max(1, min(gap, 2**61 // (q * n)))
+    ticks = np.cumsum([draw(st.integers(-3, 3))] + draw(st.lists(st.integers(1, gap), min_size=n - 1, max_size=n - 1)))
+    if whole:
+        ticks = ticks * q + draw(st.integers(0, q - 1))
+    is_tx = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda b: any(b) and not all(b)))
+    tx = [Fraction(int(t), q) for t, side in zip(ticks, is_tx) if side]
+    rx = [Fraction(int(t), q) for t, side in zip(ticks, is_tx) if not side]
+    return layout(tx=tx, rx=rx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_layouts(), st.floats(0.05, 20.0))
+@example(thirds([1, 7], [4]), 0.61)  # one residue mod 3: distances 1 and 2, float64
+@example(thirds(range(1, 72, 6), range(4, 72, 6)), 0.61)  # the same, 24 antennas: a table over multiples of 3
+@example(layout([Fraction(t, 2**53 - 1) for t in range(1, 24, 2)], [Fraction(t, 2**53 - 1) for t in range(0, 24, 2)]), 0.5)
+@example(layout([Fraction(t, 2**53 + 1) for t in range(1, 24, 2)], [Fraction(t, 2**53 + 1) for t in range(0, 24, 2)]), 0.5)
+@example(layout([Fraction(1, 1000003)], [0, Fraction(1, 7)]), 0.5)  # span about 1.4e11 ticks
+@example(layout([0, 10**9], [1, 2, 3]), 1.0)
+def test_si_matrix_is_the_per_entry_kernel_bit_for_bit(lay, rho):
+    want = reference_si_matrix(lay, rho)
+    got = si_matrix(lay, rho).h
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tx, rx, tabulated",
+    [
+        ([Fraction(t, 3) for t in range(1, 72, 6)], [Fraction(t, 3) for t in range(4, 72, 6)], True),
+        ([Fraction(1, 3), Fraction(7, 3)], [Fraction(4, 3)], False),
+        (range(10, 20), range(10), True),
+        *(([Fraction(t, q) for t in range(1, 24, 2)], [Fraction(t, q) for t in range(0, 24, 2)], q < 2**53)
+          for q in (2**53 - 1, 2**53)),
+        ([Fraction(1, 1000003)], [0, Fraction(1, 7)], False),
+        ([0, 1000], [1, 2, 3], False),
+    ],
+    ids=["whole-thirds", "whole-thirds-pair", "integer", "denominator-below-2**53", "denominator-2**53", "float-json-span", "wide-span"],
+)
+def test_both_sides_of_the_table_switch_match_the_per_entry_kernel(tx, rx, tabulated):
+    # the table serves spans of at most half the entry count, below a 2**53 denominator
+    lay = layout(tx, rx)
+    delta = distance_matrix(lay)
+    assert (2 * int(delta.ticks.max()) <= delta.ticks.size and delta.denom < 2**53) == tabulated
+    want = reference_si_matrix(lay, 0.7)
+    got = si_matrix(lay, 0.7).h
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", sorted(DEFAULT_COEFF))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sign_pattern_of_family_layouts_matches_the_reference(family, rule):
+    for n in (2, 3, 10, 33, 100):
+        lay = build_family_layout(family, n, ApertureRule(kind=rule).target(n))[0]
+        for scale in (1, Fraction(1, 3)):
+            scaled = FullDuplexLayout(tx=lay.tx.scaled(scale), rx=lay.rx.scaled(scale))
+            ch = si_matrix(scaled, 0.3)
+            assert ch.h.tobytes() == reference_si_matrix(scaled, 0.3).tobytes()
+            assert sign_pattern(ch) == reference_sign_pattern(ch)
+
+
+SPECIALS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), "flip", "imag"])
+
+
+@st.composite
+def doctored_channels(draw):
+    """SI matrices of family or random layouts, some entries replaced by a
+    special value, negated or given an imaginary part, stored real or complex."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(FAMILIES)))
+        n = draw(st.integers(2, 12))
+        lay = build_family_layout(family, n, ApertureRule(kind=draw(st.sampled_from(sorted(DEFAULT_COEFF)))).target(n))[0]
+    else:
+        lay = draw(rational_layouts())
+    ch = si_matrix(lay, draw(st.floats(0.1, 2.0)))
+    h = ch.h.astype(complex) if draw(st.booleans()) else ch.h.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, h.shape[0] - 1)), draw(st.integers(0, h.shape[1] - 1))
+        value = draw(SPECIALS)
+        if value == "flip":
+            h[i, j] = -h[i, j]
+        elif value == "imag":
+            h = h.astype(complex)
+            h[i, j] += draw(st.sampled_from([1e-300j, -1j, -0.0j]))
+        else:
+            h[i, j] = value
+    return SIChannelMatrix(h=h, rho=ch.rho, layout=ch.layout, delta=ch.delta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doctored_channels())
+def test_sign_pattern_matches_the_reference_on_doctored_channels(ch):
+    assert sign_pattern(ch) == reference_sign_pattern(ch)
 
 
 def test_distance_matrix_guards_colocated_pairs():
