@@ -243,19 +243,6 @@ def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
     return [g.ticks if s == 1 else g.ticks * s for g, s in zip(geometries, scales)], denom
 
 
-def _tabulates(span: int, count: int) -> bool:
-    """True when ``count`` values on the ticks 0..span are better served by
-    one table over the whole tick range than one by one.
-
-    Measured on SI synthesis (2-vCPU x86-64 VM, numpy 2.4): a kernel table
-    over the span plus a gather breaks even with per-entry evaluation at a
-    span of about count/2 on integer layouts (about count when every
-    distance is fractional), and costs 2-150x more at spans of 1.5-100x
-    count, as on layouts reloaded from float JSON over a 10**16 denominator.
-    """
-    return 2 * span <= count
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of layout validation: hard errors plus informational notes."""

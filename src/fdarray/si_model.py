@@ -10,7 +10,8 @@ The entry is a function of the tick distance alone, so `si_matrix`
 evaluates the kernel once per tick value up to the largest distance and
 gathers the matrix from that table. Where the largest distance dwarfs the
 number of entries (layouts reloaded from float JSON over a 10**16
-denominator), it evaluates the same kernel once per entry instead.
+denominator), or every distance is whole over a denominator above 1, it
+evaluates the same kernel once per entry instead.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ColocatedAntennaError, FullDuplexLayout, _tabulates, position_ticks
+from .geometry import ColocatedAntennaError, FullDuplexLayout, position_ticks
 
 SIGN_ALTERNATING = "alternating"
 SIGN_UNIFORM = "uniform"
@@ -139,6 +140,22 @@ def _kernel(ticks: np.ndarray, rho: float, denom: int) -> np.ndarray:
     return h
 
 
+def _tabulates(span: int, ticks: np.ndarray, denom: int) -> bool:
+    """True when one kernel table over the ticks 0..span, gathered by the
+    distance ``ticks``, serves `si_matrix` better than one kernel call per
+    entry.
+
+    The table pays at spans up to half the entry count
+    (``BENCH_27.json``, ``table_switch``), below a 2**53 denominator, and
+    when some distance is fractional or the denominator is 1: a layout over
+    q > 1 with every tick on one residue mod q (all distances whole, which
+    the first row and column show) would read only every q-th table value.
+    """
+    if 2 * span > ticks.size or denom >= 2**53:
+        return False
+    return denom == 1 or bool((ticks[0] % denom).any() or (ticks[:, 0] % denom).any())
+
+
 def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     """Spherical-wave SI channel matrix of a layout.
 
@@ -163,19 +180,11 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     rho = float(rho)
     delta = distance_matrix(layout)
     t, q = delta.ticks, delta.denom
-    span = int(max(t[0, -1], t[-1, 0]))  # both sides are sorted: the largest distance spans the layout
-    if q < 2**53 and _tabulates(span, t.size):
-        # every distance is whole iff all ticks share one residue mod q, which
-        # the first row and column show; then only multiples of q are looked up
-        whole = q == 1 or not ((t[0] % q).any() or (t[:, 0] % q).any())
-        step = q if whole else 1
-        grid = np.arange(0, span + 1, step)
-        grid[0] = step  # no distance is zero, so this entry is never read
-        table = _kernel(grid, rho, q)
-        if step > 1:
-            values, table = table, np.empty(span + 1, table.dtype)
-            table[::step] = values
-        h = table[t]
+    span = int(max(t[0, -1], t[-1, 0]))  # both sides are sorted: the largest distance is in a corner
+    if _tabulates(span, t, q):
+        grid = np.arange(span + 1)
+        grid[0] = 1  # no distance is zero, so this entry is never read
+        h = _kernel(grid, rho, q)[t]
     else:
         h = _kernel(t, rho, q)
     h.setflags(write=False)

@@ -274,17 +274,8 @@ position_values = st.one_of(
 )
 
 
-# a side is a list of positions, or something that is no iterable of positions
-rx_sides = st.one_of(
-    st.lists(position_values, max_size=5),
-    st.sampled_from(["45", "", "1/2", b"12", bytearray(b"3")]),
-    st.integers(-3, 3),
-)
-tx_sides = st.one_of(rx_sides, st.none())  # validate(tx, None) checks tx as a whole layout
-
-
 @settings(max_examples=300, deadline=None)
-@given(tx_sides, rx_sides)
+@given(st.lists(position_values, max_size=5), st.lists(position_values, max_size=5))
 def test_validate_is_ok_exactly_when_the_layout_builds(tx, rx):
     try:
         FullDuplexLayout(tx, rx)
@@ -292,6 +283,23 @@ def test_validate_is_ok_exactly_when_the_layout_builds(tx, rx):
     except (TypeError, ValueError):
         builds = False
     assert validate(tx, rx).ok == builds
+
+
+# something that is no iterable of antenna positions
+no_sides = st.one_of(st.sampled_from(["45", "", "1/2", b"12", bytearray(b"3")]), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.one_of(no_sides, st.none()), st.lists(position_values, max_size=5) | no_sides),
+    st.tuples(st.lists(position_values, max_size=5), no_sides),
+))
+def test_validate_reports_a_side_that_is_no_iterable_of_positions(sides):
+    # validate(None, rx) is no layout either: it reports, never raises
+    tx, rx = sides
+    with pytest.raises((TypeError, ValueError)):
+        FullDuplexLayout(tx, rx)
+    assert not validate(tx, rx).ok
 
 
 def test_layout_json_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import fraction_distances, integer_grid_channel
 
+from fdarray import si_model
 from fdarray.cli import main as cli_main
 from fdarray.experiments import DEFAULT_COEFF, ApertureRule, build_family_layout
 from fdarray.files import (
@@ -292,7 +293,7 @@ def rational_layouts(draw):
 @settings(max_examples=300, deadline=None)
 @given(rational_layouts(), st.floats(0.05, 20.0))
 @example(thirds([1, 7], [4]), 0.61)  # one residue mod 3: distances 1 and 2, float64
-@example(thirds(range(1, 72, 6), range(4, 72, 6)), 0.61)  # the same, 24 antennas: a table over multiples of 3
+@example(thirds(range(1, 72, 6), range(4, 72, 6)), 0.61)  # the same, 24 antennas: short span, still per entry
 @example(layout([Fraction(t, 2**53 - 1) for t in range(1, 24, 2)], [Fraction(t, 2**53 - 1) for t in range(0, 24, 2)]), 0.5)
 @example(layout([Fraction(t, 2**53 + 1) for t in range(1, 24, 2)], [Fraction(t, 2**53 + 1) for t in range(0, 24, 2)]), 0.5)
 @example(layout([Fraction(1, 1000003)], [0, Fraction(1, 7)]), 0.5)  # span about 1.4e11 ticks
@@ -307,23 +308,26 @@ def test_si_matrix_is_the_per_entry_kernel_bit_for_bit(lay, rho):
 @pytest.mark.parametrize(
     "tx, rx, tabulated",
     [
-        ([Fraction(t, 3) for t in range(1, 72, 6)], [Fraction(t, 3) for t in range(4, 72, 6)], True),
+        ([Fraction(t, 3) for t in range(1, 72, 6)], [Fraction(t, 3) for t in range(4, 72, 6)], False),
         ([Fraction(1, 3), Fraction(7, 3)], [Fraction(4, 3)], False),
         (range(10, 20), range(10), True),
         *(([Fraction(t, q) for t in range(1, 24, 2)], [Fraction(t, q) for t in range(0, 24, 2)], q < 2**53)
-          for q in (2**53 - 1, 2**53)),
+          for q in (3, 2**53 - 1, 2**53)),
         ([Fraction(1, 1000003)], [0, Fraction(1, 7)], False),
         ([0, 1000], [1, 2, 3], False),
     ],
-    ids=["whole-thirds", "whole-thirds-pair", "integer", "denominator-below-2**53", "denominator-2**53", "float-json-span", "wide-span"],
+    ids=["whole-thirds", "whole-thirds-pair", "integer", "fractional-thirds", "denominator-below-2**53",
+         "denominator-2**53", "float-json-span", "wide-span"],
 )
-def test_both_sides_of_the_table_switch_match_the_per_entry_kernel(tx, rx, tabulated):
-    # the table serves spans of at most half the entry count, below a 2**53 denominator
+def test_both_sides_of_the_table_switch_match_the_per_entry_kernel(tx, rx, tabulated, monkeypatch):
+    # the kernel runs once, on the 1-D tick range for a table or on the 2-D distance ticks
     lay = layout(tx, rx)
-    delta = distance_matrix(lay)
-    assert (2 * int(delta.ticks.max()) <= delta.ticks.size and delta.denom < 2**53) == tabulated
-    want = reference_si_matrix(lay, 0.7)
+    calls = []
+    kernel = si_model._kernel
+    monkeypatch.setattr(si_model, "_kernel", lambda ticks, rho, denom: calls.append(ticks.ndim) or kernel(ticks, rho, denom))
     got = si_matrix(lay, 0.7).h
+    assert calls == [1 if tabulated else 2]
+    want = reference_si_matrix(lay, 0.7)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
