@@ -41,7 +41,6 @@ from .files import (
     write_fig2_bundle,
     write_matrix_csv,
     write_matrix_json,
-    write_scaling_csv,
     write_spectrum_csv,
     write_sweep_csv,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "write_fig2_bundle",
     "write_matrix_csv",
     "write_matrix_json",
-    "write_scaling_csv",
     "write_spectrum_csv",
     "write_sweep_csv",
 ]

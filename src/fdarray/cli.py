@@ -32,6 +32,10 @@ def _build_layout_from_args(args) -> FullDuplexLayout:
     missing = [f"--{p}" for p in spec.params if getattr(args, p) is None]
     if missing:
         raise ValueError(f"family {args.family!r} requires {', '.join(missing)}")
+    others = dict.fromkeys(p for s in FAMILIES.values() for p in s.params if p not in spec.params)
+    extra = [f"--{p}" for p in others if getattr(args, p) is not None]
+    if extra:
+        raise ValueError(f"family {args.family!r} does not take {', '.join(extra)}")
     return spec.generate(**{p: getattr(args, p) for p in spec.params})
 
 

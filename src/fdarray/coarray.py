@@ -28,10 +28,6 @@ class SumCoarray:
     multiplicities: tuple[int, ...]
     contiguous_len: int | None
 
-    @property
-    def n_sums(self) -> int:
-        return len(self.sums)
-
     def as_dict(self) -> dict:
         return dict(zip(self.sums, self.multiplicities))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .beampattern import BeampatternCurve
 from .coarray import SumCoarray
-from .experiments import CoarrayScalingTable, Fig2Study, SweepResult
+from .experiments import Fig2Study, SweepResult
 from .geometry import FullDuplexLayout, parse_position
 from .si_model import as_matrix, numeric_matrix
 from .spectral import SingularSpectrum
@@ -244,12 +244,6 @@ def write_coarray_csv(coarray: SumCoarray, path) -> None:
     """Write (sum, multiplicity) rows in ascending sum order."""
     rows = (f"{_fmt_sum(s)},{m}" for s, m in zip(coarray.sums, coarray.multiplicities))
     _write_lines(path, rows, header="sum,multiplicity")
-
-
-def write_scaling_csv(table: CoarrayScalingTable, path) -> None:
-    """Write (N, contiguous_len, L) rows."""
-    rows = (f"{row.n},{row.contiguous_len},{row.aperture}" for row in table.rows)
-    _write_lines(path, rows, header="N,contiguous_len,L")
 
 
 def _params_str(params) -> str:

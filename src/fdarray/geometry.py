@@ -135,16 +135,6 @@ class ArrayGeometry:
         ticks = self.ticks.tolist()
         return tuple(ticks) if self.denom == 1 else tuple(Fraction(t, self.denom) for t in ticks)
 
-    @property
-    def aperture(self) -> int | Fraction:
-        """max(positions) - min(positions); zero for a single antenna."""
-        return _value(self.ticks[-1] - self.ticks[0], self.denom)
-
-    @property
-    def is_integer(self) -> bool:
-        """True when every position sits on the integer half-wavelength grid."""
-        return self.denom == 1
-
     def scaled(self, factor) -> "ArrayGeometry":
         """Elementwise scaling ``c * X = {c x}``."""
         c = _exact(factor)
@@ -221,10 +211,6 @@ class FullDuplexLayout:
         """Extent of the union of Tx and Rx positions."""
         ends = [_value(s.ticks[i], s.denom) for s in (self.tx, self.rx) for i in (0, -1)]
         return max(ends) - min(ends)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.tx.is_integer and self.rx.is_integer
 
 
 def position_ticks(*geometries: ArrayGeometry) -> tuple[list[np.ndarray], int]:
@@ -470,9 +456,10 @@ def build_family_layout(family: str, n: int, l_target: float):
     return spec.generate(**sizes, **dict(params)), params, not clamped
 
 
-def ascii_sketch(layout: FullDuplexLayout, max_width: int = 160) -> str:
-    """One-line picture of an integer-grid layout ('R'/'T' marks, '.' gaps)."""
-    if not layout.is_integer or layout.joint_aperture > max_width:
+def ascii_sketch(layout: FullDuplexLayout) -> str:
+    """One-line picture of an integer-grid layout ('R'/'T' marks, '.' gaps)
+    up to 160 cells wide; a list of positions otherwise."""
+    if layout.tx.denom != 1 or layout.rx.denom != 1 or layout.joint_aperture > 160:
         tx, rx = (",".join(map(str, g.positions)) for g in (layout.tx, layout.rx))
         return f"rx=[{rx}] tx=[{tx}]"
     lo = min(layout.tx.ticks[0], layout.rx.ticks[0])

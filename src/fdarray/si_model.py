@@ -2,16 +2,16 @@
 
 The channel entry for Rx antenna n and Tx antenna m at distance d (in
 half-wavelength units) is ``rho * exp(j*pi*d) / d``, with d held exactly as
-int64 ticks over the layout's common denominator. On the integer grid the
-phase factor collapses to an exact sign (-1)**d, read from the tick parity,
-so integer-grid channels are float64 matrices with exact signs.
+int64 ticks over the distances' smallest common denominator. When every
+distance is whole that denominator is 1, and the phase factor collapses to
+an exact sign (-1)**d, read from the tick parity, so such channels are
+float64 matrices with exact signs.
 
 The entry is a function of the tick distance alone, so `si_matrix`
 evaluates the kernel once per tick value up to the largest distance and
 gathers the matrix from that table. Where the largest distance dwarfs the
 number of entries (layouts reloaded from float JSON over a 10**16
-denominator), or every distance is whole over a denominator above 1, it
-evaluates the same kernel once per entry instead.
+denominator), it evaluates the same kernel once per entry instead.
 """
 
 import math
@@ -29,18 +29,11 @@ SIGN_COMPLEX = "complex"
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Exact Tx-Rx distances as int64 ``ticks`` of 1/``denom``; rows index Rx, columns Tx."""
+    """Exact Tx-Rx distances as int64 ``ticks`` of 1/``denom``, their smallest common
+    denominator (1 exactly when every distance is whole); rows index Rx, columns Tx."""
 
     ticks: np.ndarray
     denom: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.ticks.shape
-
-    def to_array(self) -> np.ndarray:
-        """Distances as a float64 matrix, each rounded like ``float(Fraction)``."""
-        return _quotients(self.ticks, self.denom)
 
 
 def _quotients(ticks: np.ndarray, denom: int) -> np.ndarray:
@@ -58,10 +51,6 @@ class SIChannelMatrix:
     rho: float
     layout: FullDuplexLayout
     delta: DistanceMatrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.h.shape
 
 
 def as_matrix(matrix, dtype=None) -> np.ndarray:
@@ -89,7 +78,8 @@ def numeric_matrix(matrix) -> np.ndarray:
 
 
 def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
-    """Exact |d_rx[n] - d_tx[m]| matrix of a layout.
+    """Exact |d_rx[n] - d_tx[m]| matrix of a layout, over the distances'
+    smallest common denominator.
 
     Raises
     ------
@@ -105,31 +95,34 @@ def distance_matrix(layout: FullDuplexLayout) -> DistanceMatrix:
     if np.count_nonzero(ticks) < ticks.size:
         r = layout.rx.positions[ticks.min(axis=1).argmin()]
         raise ColocatedAntennaError(f"zero Tx-Rx distance at rx={r}")
+    if denom > 1:  # rx[n] - tx[m] = (rx[n] - tx[0]) - (rx[0] - tx[0]) + (rx[0] - tx[m])
+        g = math.gcd(denom, int(np.gcd.reduce(ticks[0])), int(np.gcd.reduce(ticks[:, 0])))
+        if g > 1:
+            ticks //= g
+            denom //= g
     ticks.setflags(write=False)
     return DistanceMatrix(ticks=ticks, denom=denom)
 
 
 def _parity(ticks: np.ndarray, denom: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Parity (0 or 1) of the whole part of each distance ticks / denom, and
-    the mask of the fractional distances, None when there is none.
+    the mask of the fractional distances, None when ``denom == 1``.
 
-    On the integer grid (``denom == 1``) the parity is read from the ticks
-    themselves, without a division.
+    On the integer grid the parity is read from the ticks themselves,
+    without a division.
     """
     if denom == 1:
         return ticks & 1, None
     whole, rest = np.divmod(ticks, denom)
-    frac = rest != 0
-    return whole & 1, frac if frac.any() else None
+    return whole & 1, rest != 0
 
 
 def _kernel(ticks: np.ndarray, rho: float, denom: int) -> np.ndarray:
     """``rho * exp(j*pi*d) / d`` at the positive distances d = ticks / denom.
 
-    d is rounded as `DistanceMatrix.to_array` rounds it. A whole distance
+    d is rounded like ``float(Fraction(tick, denom))``. A whole distance
     gives the real value (-1)**d * rho / d, with its sign read from the
-    parity; the result is float64 when every distance is whole, else
-    complex128.
+    parity; the result is float64 when ``denom == 1``, else complex128.
     """
     odd, frac = _parity(ticks, denom)
     d = ticks if denom == 1 else _quotients(ticks, denom)
@@ -146,14 +139,9 @@ def _tabulates(span: int, ticks: np.ndarray, denom: int) -> bool:
     entry.
 
     The table pays at spans up to half the entry count
-    (``BENCH_27.json``, ``table_switch``), below a 2**53 denominator, and
-    when some distance is fractional or the denominator is 1: a layout over
-    q > 1 with every tick on one residue mod q (all distances whole, which
-    the first row and column show) would read only every q-th table value.
+    (``BENCH_27.json``, ``table_switch``) and below a 2**53 denominator.
     """
-    if 2 * span > ticks.size or denom >= 2**53:
-        return False
-    return denom == 1 or bool((ticks[0] % denom).any() or (ticks[:, 0] % denom).any())
+    return 2 * span <= ticks.size and denom < 2**53
 
 
 def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
@@ -191,17 +179,14 @@ def si_matrix(layout: FullDuplexLayout, rho: float = 1.0) -> SIChannelMatrix:
     return SIChannelMatrix(h=h, rho=rho, layout=layout, delta=delta)
 
 
-def is_toeplitz(matrix, tol: float = 0.0) -> bool:
-    """True when every diagonal is constant (within tol; tol=0 means exact).
+def is_toeplitz(matrix) -> bool:
+    """True when every diagonal is exactly constant.
 
     Accepts a DistanceMatrix (checked on exact ticks), an
     SIChannelMatrix, or any 2-D array-like.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     arr = as_matrix(matrix.ticks if isinstance(matrix, DistanceMatrix) else matrix)
-    a, b = arr[1:, 1:], arr[:-1, :-1]
-    return not np.any(a != b if tol == 0 else np.abs(a - b) > tol)
+    return np.array_equal(arr[1:, 1:], arr[:-1, :-1])
 
 
 def sign_pattern(h: SIChannelMatrix) -> str:

@@ -35,9 +35,6 @@ class SingularSpectrum:
     frob: float
     recon_error: float
 
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
 
 def _as_matrix(h) -> np.ndarray:
     """Validated `si_model.numeric_matrix` of a matrix-like: float64 when its

@@ -126,10 +126,6 @@ class FractionGeometry:
         self.positions = tuple(values)
 
     @property
-    def aperture(self) -> Fraction:
-        return self.positions[-1] - self.positions[0]
-
-    @property
     def is_integer(self) -> bool:
         return all(p.denominator == 1 for p in self.positions)
 

@@ -60,13 +60,13 @@ def test_criterion_2_toeplitz_structure():
         for n in range(2, 33):
             for delta1 in range(0, 6):
                 lay = generate_partitioned(n, delta1)
-                assert is_toeplitz(distance_matrix(lay), tol=0)
-                assert is_toeplitz(si_matrix(lay, 1.0), tol=0)
+                assert is_toeplitz(distance_matrix(lay))
+                assert is_toeplitz(si_matrix(lay, 1.0))
             for delta2 in range(1, 6):
                 lay = generate_interleaved(n, delta2)
-                assert is_toeplitz(distance_matrix(lay), tol=0)
-                assert is_toeplitz(si_matrix(lay, 1.0), tol=0)
-        assert not is_toeplitz(si_matrix(generate_nested(6, 5, 3), 1.0), tol=0)
+                assert is_toeplitz(distance_matrix(lay))
+                assert is_toeplitz(si_matrix(lay, 1.0))
+        assert not is_toeplitz(si_matrix(generate_nested(6, 5, 3), 1.0))
 
     _report(2, "exact Toeplitz structure of uniform families", body, budget=5.0)
 

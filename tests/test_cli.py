@@ -69,6 +69,23 @@ def test_geometry_command_matches_solved_family_layout(tmp_path, family):
     assert out.read_bytes() == want.read_bytes()
 
 
+FOREIGN_FLAGS = [
+    (family, param)
+    for family, spec in FAMILIES.items()
+    for param in dict.fromkeys(p for other in FAMILIES.values() for p in other.params)
+    if param not in spec.params
+]
+
+
+@pytest.mark.parametrize("family, param", FOREIGN_FLAGS)
+def test_geometry_rejects_a_flag_the_family_does_not_take(tmp_path, capsys, family, param):
+    own = [x for p in FAMILIES[family].params for x in (f"--{p}", "2")]
+    out = tmp_path / "x.json"
+    assert run("geometry", "--family", family, *own, f"--{param}", "5", "-o", str(out)) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"does not take --{param}")
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("geometry", "--family", "partitioned", "--n", "3", "--delta1", "0")

@@ -1,4 +1,4 @@
-"""The public names, the file writer no other test pins, and matrix-file properties.
+"""The public names, the co-array scaling rows, and matrix-file properties.
 
 The matrix writers format each distinct value once; the properties check
 their bytes against ``oracles.py``'s per-cell rendering and their round
@@ -24,12 +24,12 @@ from fdarray.files import (
     load_matrix_json,
     write_matrix_csv,
     write_matrix_json,
-    write_scaling_csv,
 )
 from fdarray.si_model import numeric_matrix
 
-# fdarray.__all__: 52 names (the test oracle interleaved_closed_form_n2 and
-# si_leakage, a bare matrix-vector product, are no longer public)
+# fdarray.__all__: 51 names (the test oracle interleaved_closed_form_n2,
+# si_leakage, a bare matrix-vector product, and write_scaling_csv, which no
+# command wrote, are no longer public)
 PUBLIC_NAMES = {
     "ApertureRule", "ArrayGeometry", "BeampatternCurve", "CoarrayScalingTable",
     "ColocatedAntennaError", "DistanceMatrix", "Fig2Study", "FullDuplexLayout",
@@ -42,25 +42,22 @@ PUBLIC_NAMES = {
     "partitioned_rank1_gap", "save_layout", "scaling_sweep", "si_matrix", "sign_pattern",
     "spectral_norm", "sum_coarray", "svd_spectrum", "validate",
     "write_coarray_csv", "write_curve_csv", "write_fig2_bundle", "write_matrix_csv",
-    "write_matrix_json", "write_scaling_csv", "write_spectrum_csv", "write_sweep_csv",
+    "write_matrix_json", "write_spectrum_csv", "write_sweep_csv",
 }
 
 
 def test_public_names_are_unchanged():
     assert set(fdarray.__all__) == PUBLIC_NAMES
-    assert len(fdarray.__all__) == len(PUBLIC_NAMES) == 52
+    assert len(fdarray.__all__) == len(PUBLIC_NAMES) == 51
     # every reader and writer is exported from the one files module
     io_names = [n for n in fdarray.__all__ if n.startswith(("load_", "save_", "write_", "layout_"))]
-    assert len(io_names) == 14
+    assert len(io_names) == 13
     assert all(getattr(fdarray, n) is getattr(files, n) for n in io_names)
 
 
-def test_scaling_csv_bytes(tmp_path):
-    path = tmp_path / "scaling.csv"
-    write_scaling_csv(coarray_scaling(range(10, 61, 10)), path)
-    assert path.read_bytes() == (
-        b"N,contiguous_len,L\n10,29,19\n20,179,102\n30,389,214\n40,759,407\n50,1149,609\n60,1739,912\n"
-    )
+def test_coarray_scaling_rows():
+    rows = [(row.n, row.contiguous_len, row.aperture) for row in coarray_scaling(range(10, 61, 10)).rows]
+    assert rows == [(10, 29, 19), (20, 179, 102), (30, 389, 214), (40, 759, 407), (50, 1149, 609), (60, 1739, 912)]
 
 
 SETTINGS = settings(max_examples=200, deadline=None)

@@ -17,7 +17,7 @@ from fdarray.geometry import (
     generate_nested,
     position_ticks,
 )
-from fdarray.si_model import distance_matrix, si_matrix
+from fdarray.si_model import _quotients, distance_matrix, si_matrix
 
 PRIMES = (9999991, 9999973, 9999971)
 PRIME_TX = [Fraction(1, PRIMES[0])]
@@ -87,7 +87,7 @@ def test_float_decimal_layouts_keep_working(tmp_path):
     # decimal positions with 16 digits: a denominator above 2**53, ticks below 2**62
     assert 2**53 < dm.denom <= 10**16
     expected = [[float(Fraction(t, dm.denom)) for t in row] for row in dm.ticks.tolist()]
-    assert np.array_equal(dm.to_array(), np.array(expected))
+    assert np.array_equal(_quotients(dm.ticks, dm.denom), np.array(expected))
     assert np.all(np.isfinite(si_matrix(lay, 0.5).h))
     co = sum_coarray(lay)
     assert sum(co.multiplicities) == 80 * 80
